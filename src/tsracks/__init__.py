@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .groups import AbelianGroup, QuotientRing, invariant_factors, ring_make, subgroup_closure
+from .groups import AbelianGroup, QuotientRing, invariant_factors, subgroup_closure
 from .racks import (
     FiniteRack,
     constant_action_rack,
@@ -30,13 +30,11 @@ from .modules import (
 from .diagrams import (
     LinkDiagram,
     add_kink,
-    crossing_relations,
     framed_family,
     parse_braid,
     parse_link,
     parse_pd,
     pd_code,
-    writhe_vector,
 )
 from .polynomials import InvariantPolynomial, order_compare
 from .invariants import (

@@ -16,13 +16,9 @@ def corpus_path():
     return resources.files(__package__).joinpath("data/links.txt")
 
 
-def load_corpus_specs(path=None):
+def load_corpus_specs():
     """Ordered dict name -> link spec string."""
-    if path is None:
-        text = corpus_path().read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    text = corpus_path().read_text()
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -38,15 +34,7 @@ def load_corpus_specs(path=None):
     return out
 
 
-def load_corpus(path=None):
+def load_corpus():
     """Ordered dict name -> LinkDiagram."""
     return {name: parse_link(spec)
-            for name, spec in load_corpus_specs(path).items()}
-
-
-def knot_names(specs):
-    return [n for n in specs if not n.startswith("L")]
-
-
-def link_names(specs):
-    return [n for n in specs if n.startswith("L")]
+            for name, spec in load_corpus_specs().items()}

@@ -15,7 +15,6 @@ or a rack-matrix text (first line n, then n rows).  Exit codes: 0 success,
 """
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -84,7 +83,7 @@ def _link_source(text):
     return text
 
 
-def _compute_record(source, link_spec, kind, split_fibers=True):
+def _compute_record(source, link_spec, kind):
     diagram = parse_link(link_spec)
     record = {
         "invariant": kind,
@@ -113,8 +112,7 @@ def _compute_record(source, link_spec, kind, split_fibers=True):
         poly, multiset = additive_enhanced(diagram, source.tsrack)
         record["counting_value"] = recover_counting_from_additive(poly)
     elif kind == "s-enh":
-        poly, multiset = s_enhanced(diagram, source.tsrack,
-                                    split_fibers=split_fibers)
+        poly, multiset = s_enhanced(diagram, source.tsrack)
         record["counting_value"] = recover_counting_from_s(poly)
     else:
         raise ValidationError("unknown invariant kind %r" % kind)
@@ -296,15 +294,14 @@ def cmd_table(args):
 
     groups = {}
     failures = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-        for name, record, error in pool.map(run, jobs):
-            if error is not None:
-                failures.append((name, error))
-                continue
-            value = record.get("polynomial_text")
-            if value is None:
-                value = str(record["counting_value"])
-            groups.setdefault(value, []).append(name)
+    for name, record, error in map(run, jobs):
+        if error is not None:
+            failures.append((name, error))
+            continue
+        value = record.get("polynomial_text")
+        if value is None:
+            value = str(record["counting_value"])
+        groups.setdefault(value, []).append(name)
 
     rows = sorted(groups.items(), key=lambda kv: sorted(kv[1]))
     width = max((len(v) for v, _ in rows), default=0)
@@ -368,8 +365,6 @@ def build_parser():
     p.add_argument("--links", required=True,
                    help="file with one 'name spec' per line")
     p.add_argument("--kind", choices=KINDS, default="additive")
-    p.add_argument("--format", choices=("table", "json-like"),
-                   default="table")
     p.add_argument("--strict-order", action="store_true", default=None,
                    help="report ordering obstructions between rows using "
                         "the strict coefficientwise reading")
@@ -391,7 +386,7 @@ def main(argv=None):
     except ValidationError as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return 3
-    except (AssertionError, ToolkitError) as exc:
+    except ToolkitError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 4
 

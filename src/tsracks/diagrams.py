@@ -38,19 +38,19 @@ EdgeCrossing = namedtuple("EdgeCrossing",
                           ["over_in", "over_out", "under_in", "under_out",
                            "sign"])
 Crossing = namedtuple("Crossing", ["over", "under_in", "under_out", "sign"])
-Relation = namedtuple("Relation", ["under_out", "under_in", "over", "sign"])
 
 
 class _UnionFind(dict):
+    """Union-find on arbitrary keys; find() adds a key it has not seen."""
+
     def find(self, x):
+        self.setdefault(x, x)
         while self[x] != x:
             self[x] = self[self[x]]
             x = self[x]
         return x
 
     def union(self, x, y):
-        self.setdefault(x, x)
-        self.setdefault(y, y)
         rx, ry = self.find(x), self.find(y)
         if rx != ry:
             self[max(rx, ry)] = min(rx, ry)
@@ -88,16 +88,10 @@ class LinkDiagram:
 
         arc_uf = _UnionFind()
         comp_uf = _UnionFind()
-        for e in edges:
-            arc_uf.setdefault(e, e)
-            comp_uf.setdefault(e, e)
         for c in crossings:
             arc_uf.union(c.over_in, c.over_out)
             comp_uf.union(c.over_in, c.over_out)
             comp_uf.union(c.under_in, c.under_out)
-        for a in self.free_loops:
-            arc_uf.setdefault(a, a)
-            comp_uf.setdefault(a, a)
 
         self.arc_of_edge = {e: arc_uf.find(e) for e in edges}
         for a in self.free_loops:
@@ -421,10 +415,6 @@ def parse_link(text):
 # -- framings -------------------------------------------------------------
 
 
-def writhe_vector(diagram):
-    return diagram.writhe_vector()
-
-
 def add_kink(diagram, component, sign=+1):
     """Insert one kink at the start of the component's first arc.
 
@@ -486,12 +476,6 @@ def framed_family(diagram, period):
                 d = add_kink(d, i, +1)
         family[w] = d
     return family
-
-
-def crossing_relations(diagram):
-    """One relation per crossing: under_out = under_in >^{sign} over."""
-    return [Relation(c.under_out, c.under_in, c.over, c.sign)
-            for c in diagram.crossings]
 
 
 # -- PD export ------------------------------------------------------------

@@ -18,6 +18,14 @@ class ValidationError(ToolkitError):
     """Parsed input violates a structural requirement."""
 
 
+class ConsistencyError(ToolkitError):
+    """A fact the computation relies on failed its own check.
+
+    Raised instead of an ``assert`` so the check also runs under
+    ``python -O``; the command line reports it as an internal error.
+    """
+
+
 class MalformedElementError(ValidationError):
     """A group element vector has the wrong length or an out-of-range entry."""
 

@@ -9,7 +9,7 @@ desk-scale groups (order up to a few thousand).
 from itertools import product
 from math import gcd, prod
 
-from .errors import MalformedElementError, NotASubgroupError
+from .errors import ConsistencyError, MalformedElementError, NotASubgroupError
 
 
 class AbelianGroup:
@@ -49,25 +49,11 @@ class AbelianGroup:
             )
         return tuple(x)
 
-    def reduce(self, x):
-        """Reduce an arbitrary integer vector into the group."""
-        if len(x) != self.rank:
-            raise MalformedElementError(
-                "vector %r has wrong length for %r" % (x, self)
-            )
-        return tuple(xi % mi for xi, mi in zip(x, self.moduli))
-
     def add(self, x, y):
         return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
 
-    def neg(self, x):
-        return tuple((-a) % m for a, m in zip(x, self.moduli))
-
     def sub(self, x, y):
         return tuple((a - b) % m for a, b, m in zip(x, y, self.moduli))
-
-    def scale(self, k, x):
-        return tuple((k * a) % m for a, m in zip(x, self.moduli))
 
     def element_order(self, x):
         """Additive order: lcm over components of m_i / gcd(x_i, m_i)."""
@@ -156,9 +142,10 @@ def invariant_factors(group, subset):
     for p, exps in exps_by_prime.items():
         for i, e in enumerate(exps):
             factors[k - 1 - i] *= p**e
-    assert prod(factors) == n
-    for a, b in zip(factors, factors[1:]):
-        assert b % a == 0
+    if prod(factors) != n or any(b % a for a, b in zip(factors, factors[1:])):
+        raise ConsistencyError(
+            "invariant factors %r do not form a chain of product %d"
+            % (factors, n))
     return factors
 
 
@@ -232,9 +219,6 @@ class QuotientRing:
     def add(self, a, b):
         return tuple((x + y) % self.n for x, y in zip(a, b))
 
-    def neg(self, a):
-        return tuple((-x) % self.n for x in a)
-
     def sub(self, a, b):
         return tuple((x - y) % self.n for x, y in zip(a, b))
 
@@ -262,8 +246,3 @@ class QuotientRing:
             if self.mul(a, b) == self.one:
                 return b
         return None
-
-
-def ring_make(n, coeffs):
-    """Build Z_n[t]/(p(t)); see QuotientRing for validation rules."""
-    return QuotientRing(n, coeffs)

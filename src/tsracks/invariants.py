@@ -16,7 +16,7 @@ the projected labeling under multiplication by s (s-enhancement).
 from collections import Counter
 from itertools import product
 
-from .errors import WrongStructureError
+from .errors import ConsistencyError, WrongStructureError
 from .groups import invariant_factors, subgroup_closure
 from .modules import TSRack, s_submodule
 from .polynomials import InvariantPolynomial
@@ -208,7 +208,8 @@ def enumerate_homs_linear(diagram, rack):
         if any(_apply(mat, xi, group) != group.zero for mat in constraints):
             continue
         labeling = {a: _apply(coeffs[a], xi, group) for a in coeffs}
-        assert all(v in carrier for v in labeling.values())
+        if not all(v in carrier for v in labeling.values()):
+            raise ConsistencyError("linear solve left the carrier")
         results.append(labeling)
     return results
 
@@ -368,7 +369,7 @@ def additive_enhanced(diagram, rack, use_linear_path=False):
     return poly, multiset
 
 
-def s_enhanced(diagram, rack, use_linear_path=False, split_fibers=True):
+def s_enhanced(diagram, rack, split_fibers=True):
     """s-enhancement: group labelings by their projection to the
     subquandle sX (multiply every label by s) and record fiber sizes.
 
@@ -389,20 +390,21 @@ def s_enhanced(diagram, rack, use_linear_path=False, split_fibers=True):
     sub = s_submodule(rack)
     period = rack.rack_rank()
     family = framed_family(diagram, period)
-    solver = enumerate_homs_linear if use_linear_path else enumerate_homs
     poly = InvariantPolynomial()
     multiset = EnhancedMultiset()
     for w, d in sorted(family.items()):
         arcs = d.arc_order()
         fibers = {}
-        for f in solver(d, rack):
+        for f in enumerate_homs(d, rack):
             projected = tuple(rack.s_map[f[a]] for a in arcs)
             fibers.setdefault(projected, []).append(
                 tuple(f[a] for a in arcs))
         sub_labelings = {
             tuple(g[a] for a in arcs) for g in enumerate_homs(d, sub)
         }
-        assert set(fibers) <= sub_labelings
+        if not set(fibers) <= sub_labelings:
+            raise ConsistencyError(
+                "an s-projected labeling is not an sX-labeling")
         for g in sorted(fibers):
             lifts = sorted(fibers[g])
             if split_fibers:

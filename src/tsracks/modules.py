@@ -23,16 +23,17 @@ re-verified end to end as an honest rack isomorphism before it is returned.
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
+    ConsistencyError,
     NotInvertibleError,
     RelationViolationError,
     ValidationError,
     WrongStructureError,
 )
 from .groups import AbelianGroup
-from .racks import validate_rack
+from .racks import cycle_lengths, validate_rack
 
 
 class TSRack:
@@ -52,9 +53,8 @@ class TSRack:
         self.spec = spec
         self._validate()
         self.t_inv_map = {v: k for k, v in self.t_map.items()}
-        ts = {x: group.add(self.t_map[x], self.s_map[x]) for x in self.carrier}
-        self.ts_map = ts
-        self.ts_inv_map = {v: k for k, v in ts.items()}
+        self.ts_map = {x: group.add(self.t_map[x], self.s_map[x])
+                       for x in self.carrier}
 
     # -- structure checks ------------------------------------------------
 
@@ -105,9 +105,6 @@ class TSRack:
     def t(self, x):
         return self.t_map[x]
 
-    def t_inv(self, x):
-        return self.t_inv_map[x]
-
     def s(self, x):
         return self.s_map[x]
 
@@ -122,13 +119,9 @@ class TSRack:
         return self.t_inv_map[self.group.sub(x, self.s_map[y])]
 
     def rack_rank(self):
-        """Order of the (t+s)-action, the period of framing dependence."""
-        n = 1
-        cur = {x: self.ts_map[x] for x in self.carrier}
-        while any(cur[x] != x for x in self.carrier):
-            cur = {x: self.ts_map[cur[x]] for x in self.carrier}
-            n += 1
-        return n
+        """Order of the (t+s)-action, the period of framing dependence:
+        the lcm of its cycle lengths."""
+        return lcm(*cycle_lengths(self.ts_map).values())
 
     def is_alexander(self):
         """True when s = Id - t, i.e. the rack is an Alexander quandle."""
@@ -258,8 +251,9 @@ def s_submodule(rack):
     """
     image = sorted({rack.s_map[x] for x in rack.carrier})
     iset = set(image)
-    assert all(rack.t_map[x] in iset for x in image)
-    assert all(rack.s_map[x] in iset for x in image)
+    if not all(rack.t_map[x] in iset and rack.s_map[x] in iset
+               for x in image):
+        raise ConsistencyError("sX is not stable under t and s")
     t_map = {x: rack.t_map[x] for x in image}
     s_map = {x: rack.s_map[x] for x in image}
     return TSRack(rack.group, t_map, s_map, carrier=image)
@@ -485,10 +479,6 @@ def _search_reps(x_rack, y_rack, h, reps_a, rep_of_x, rep_of_y,
                                     coset_reps_b=reps_b, g=g_full, phi=phi)
 
     return backtrack(0, {}, set())
-
-
-def tsracks_isomorphic(x_rack, y_rack):
-    return tsrack_iso_check(x_rack, y_rack) is not None
 
 
 def alexander_iso_check(m_rack, m2_rack):

@@ -4,6 +4,8 @@ elided, terms joined by " + "."""
 
 from collections import Counter
 
+from .errors import ConsistencyError
+
 
 class InvariantPolynomial:
     """Polynomial with integer coefficients, monomials u^e * q_1^{w_1}...
@@ -58,18 +60,19 @@ class InvariantPolynomial:
     def __bool__(self):
         return bool(self._terms)
 
+    def _require_pure_u(self):
+        if any(q for _, q in self._terms):
+            raise ConsistencyError("not a pure u-polynomial: %s" % self)
+
     def evaluate_u1(self):
         """Substitute u = 1 (all q's must be absent)."""
-        assert all(not q for _, q in self._terms), "not a pure u-polynomial"
+        self._require_pure_u()
         return sum(self._terms.values())
 
     def coeff_exponent_sum(self):
         """Sum of coefficient * u-exponent over all terms."""
-        assert all(not q for _, q in self._terms), "not a pure u-polynomial"
+        self._require_pure_u()
         return sum(v * u for (u, _), v in self._terms.items())
-
-    def u_support(self):
-        return sorted({u for u, _ in self._terms})
 
     def __str__(self):
         if not self._terms:

@@ -13,7 +13,7 @@ Everything is 1-indexed to match the usual rack-matrix convention.
 
 from math import lcm
 
-from .errors import RackAxiomError, ValidationError
+from .errors import ConsistencyError, RackAxiomError, ValidationError
 
 
 class FiniteRack:
@@ -113,40 +113,29 @@ def rack_from_text(text):
     return validate_rack(rows)
 
 
+def cycle_lengths(perm):
+    """Length of the cycle through each element of a permutation given as
+    a dict x -> perm(x); returns a dict x -> length."""
+    lengths = {}
+    for start in perm:
+        if start in lengths:
+            continue
+        cycle = [start]
+        x = perm[start]
+        while x != start:
+            cycle.append(x)
+            x = perm[x]
+        for e in cycle:
+            lengths[e] = len(cycle)
+    return lengths
+
+
 def rack_rank(rack):
     """(N, per-element ranks): N(x) is the pi-cycle length through x and
     N = lcm of them, which is also the order of pi in S_n."""
-    pi = rack.kink_map()
-    per = [0] * rack.n
-    for start in range(1, rack.n + 1):
-        if per[start - 1]:
-            continue
-        cycle = [start]
-        x = pi[start - 1]
-        while x != start:
-            cycle.append(x)
-            x = pi[x - 1]
-        for e in cycle:
-            per[e - 1] = len(cycle)
-    n_total = lcm(*per)
-    assert n_total == _permutation_order(pi)
-    return n_total, per
-
-
-def _permutation_order(pi):
-    order = 1
-    seen = set()
-    for start in range(1, len(pi) + 1):
-        if start in seen:
-            continue
-        length = 0
-        x = start
-        while x not in seen:
-            seen.add(x)
-            x = pi[x - 1]
-            length += 1
-        order = lcm(order, length)
-    return order
+    lengths = cycle_lengths(dict(zip(rack.elements, rack.kink_map())))
+    per = [lengths[x] for x in rack.elements]
+    return lcm(*per), per
 
 
 def is_quandle(rack):
@@ -219,20 +208,21 @@ def conjugation_rack(table, n_exp=1):
 def maximal_subquandle(rack):
     """Elements of rack rank 1, i.e. {x : x > x = x}.  May be empty.
 
-    The subset is closed under the rack operation; we assert that rather
+    The subset is closed under the rack operation; we check that rather
     than trust it.
     """
     q = [x for x in rack.elements if rack.op(x, x) == x]
     qset = set(q)
-    assert all(rack.op(x, y) in qset for x in q for y in q)
+    if not all(rack.op(x, y) in qset for x in q for y in q):
+        raise ConsistencyError("maximal subquandle is not closed under >")
     return tuple(q)
 
 
 def is_homomorphism(f, source, target):
     """True iff f respects > on all pairs.  f maps 1..n to target elements.
 
-    Preservation of >^{-1} follows for bijections onto subracks; we assert
-    it outright.
+    Preservation of >^{-1} follows from preservation of >; we check it
+    outright.
     """
     for x in source.elements:
         if f[x] not in target.elements:
@@ -243,13 +233,15 @@ def is_homomorphism(f, source, target):
                 return False
     for x in source.elements:
         for y in source.elements:
-            assert f[source.op_inv(x, y)] == target.op_inv(f[x], f[y])
+            if f[source.op_inv(x, y)] != target.op_inv(f[x], f[y]):
+                raise ConsistencyError(
+                    "map preserves > but not >^-1 at (%d,%d)" % (x, y))
     return True
 
 
-def _element_profiles(rack):
-    """Per-element invariants used to prune the isomorphism search."""
-    _, per = rack_rank(rack)
+def _element_profiles(rack, per):
+    """Per-element invariants used to prune the isomorphism search;
+    ``per`` holds the per-element ranks."""
     base = {x: per[x - 1] for x in rack.elements}
     # refine once with the rank multiset of the row and column through x
     profiles = {}
@@ -270,12 +262,13 @@ def find_isomorphism(x_rack, y_rack):
     """
     if x_rack.n != y_rack.n:
         return None
-    if rack_rank(x_rack)[0] != rack_rank(y_rack)[0]:
+    # equal kink cycle types, which also give equal rack ranks
+    _, per_x = rack_rank(x_rack)
+    _, per_y = rack_rank(y_rack)
+    if sorted(per_x) != sorted(per_y):
         return None
-    if _cycle_type(x_rack.kink_map()) != _cycle_type(y_rack.kink_map()):
-        return None
-    px = _element_profiles(x_rack)
-    py = _element_profiles(y_rack)
+    px = _element_profiles(x_rack, per_x)
+    py = _element_profiles(y_rack, per_y)
     if sorted(px.values()) != sorted(py.values()):
         return None
     candidates = {
@@ -303,9 +296,9 @@ def find_isomorphism(x_rack, y_rack):
         return None
 
     f = extend({}, set(), 0)
-    if f is not None:
-        assert is_homomorphism(f, x_rack, y_rack)
-        assert len(set(f.values())) == n
+    if f is not None and (len(set(f.values())) != n
+                          or not is_homomorphism(f, x_rack, y_rack)):
+        raise ConsistencyError("isomorphism search returned a non-isomorphism")
     return f
 
 
@@ -316,19 +309,3 @@ def _consistent(f, x, x_rack, y_rack):
             if w in f and y_rack.op(f[u], f[v]) != f[w]:
                 return False
     return True
-
-
-def _cycle_type(pi):
-    seen = set()
-    lengths = []
-    for start in range(1, len(pi) + 1):
-        if start in seen:
-            continue
-        length = 0
-        x = start
-        while x not in seen:
-            seen.add(x)
-            x = pi[x - 1]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths))

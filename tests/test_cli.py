@@ -189,6 +189,14 @@ class TestTable:
         assert len(rows) == 1
         assert "3_1, 5_1, unknot" in rows[0]
 
+    def test_format_is_not_an_option(self, tmp_path, capsys):
+        path = self.links_file(tmp_path, ["3_1 braid: 2: 1 1 1"])
+        with pytest.raises(SystemExit) as info:
+            main(["table", "--rack", Z4_SPEC, "--links", path,
+                  "--format", "json-like"])
+        assert info.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
     def test_grouping_independent_of_order(self, tmp_path, capsys):
         lines = ["a braid: 2: 1 1 1", "b braid: 1:", "c braid: 2: 1 1 1 1 1"]
         path1 = self.links_file(tmp_path, lines)

@@ -2,7 +2,6 @@ import pytest
 
 from tsracks.diagrams import (
     add_kink,
-    crossing_relations,
     framed_family,
     parse_braid,
     parse_link,
@@ -147,7 +146,7 @@ class TestAddKink:
         d = add_kink(unknot_diagram(1), 0, +1)
         assert len(d.crossings) == 1
         assert d.writhe_vector() == (1,)
-        rel = crossing_relations(d)[0]
+        rel = d.crossings[0]
         # the single relation identifies the arc with its own kink image
         assert rel.under_in == rel.over == rel.under_out
         assert rel.sign == 1
@@ -205,16 +204,19 @@ class TestFramedFamily:
 
 
 class TestCrossingRelations:
+    """Each arc-level crossing is the relation under_out = under_in >^sign
+    over."""
+
     def test_zero_crossing(self):
-        assert crossing_relations(unknot_diagram(2)) == []
+        assert list(unknot_diagram(2).crossings) == []
 
     def test_braid_trefoil(self):
-        rels = crossing_relations(parse_braid(2, [1, 1, 1]))
+        rels = parse_braid(2, [1, 1, 1]).crossings
         assert len(rels) == 3
         assert all(r.sign == 1 for r in rels)
 
     def test_mirror_uses_inverse(self):
-        rels = crossing_relations(parse_braid(2, [-1, -1, -1]))
+        rels = parse_braid(2, [-1, -1, -1]).crossings
         assert all(r.sign == -1 for r in rels)
 
 

@@ -1,4 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from tsracks.errors import ConsistencyError
 from tsracks.polynomials import InvariantPolynomial, order_compare, parse_u_polynomial
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def upoly(text):
@@ -57,6 +67,28 @@ class TestRecovery:
         assert upoly("2u + 2u^3").coeff_exponent_sum() == 8
         assert upoly("2u^2").coeff_exponent_sum() == 4
         assert InvariantPolynomial().coeff_exponent_sum() == 0
+
+    def test_q_polynomial_refused(self):
+        p = InvariantPolynomial.q_term((1,), 2)
+        with pytest.raises(ConsistencyError):
+            p.evaluate_u1()
+        with pytest.raises(ConsistencyError):
+            p.coeff_exponent_sum()
+
+    def test_q_polynomial_refused_under_optimize(self):
+        # the check is a raise, not an assert, so python -O keeps it
+        code = (
+            "from tsracks.errors import ToolkitError\n"
+            "from tsracks.polynomials import InvariantPolynomial\n"
+            "try:\n"
+            "    InvariantPolynomial.q_term((1,), 2).evaluate_u1()\n"
+            "except ToolkitError as exc:\n"
+            "    print(type(exc).__name__)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "ConsistencyError"
 
 
 Z12_31 = "u + u^2 + 8u^3 + 2u^4 + 8u^6 + 16u^12"

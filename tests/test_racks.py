@@ -14,7 +14,7 @@ from tsracks.racks import (
     rack_rank,
     validate_rack,
 )
-from tsracks.modules import make_linear, make_quotient
+from tsracks.modules import enumerate_linear, make_linear, make_quotient
 
 CONSTANT_123 = [[2, 2, 2], [3, 3, 3], [1, 1, 1]]
 LINEAR_Z4 = [[3, 1, 3, 1], [4, 2, 4, 2], [1, 3, 1, 3], [2, 4, 2, 4]]
@@ -85,6 +85,39 @@ class TestRackRank:
                      constant_action_rack([2, 3, 4, 1, 6, 5])):
             n, per = rack_rank(rack)
             assert n == lcm(*per)
+
+
+def _kink_order(elements, op):
+    """Smallest k >= 1 with pi^k = id, pi(x) = x > x, by composing pi."""
+    pi = {x: op(x, x) for x in elements}
+    power = dict(pi)
+    k = 1
+    while any(power[x] != x for x in elements):
+        power = {x: pi[power[x]] for x in elements}
+        k += 1
+    return k
+
+
+class TestRackRankOracle:
+    def check(self, x):
+        k = _kink_order(x.carrier, x.op)
+        assert x.rack_rank() == k
+        assert rack_rank(x.to_finite_rack())[0] == k
+
+    def test_linear_racks_up_to_twelve(self):
+        for n in range(2, 13):
+            for t, s in enumerate_linear(n):
+                self.check(make_linear(n, t, s))
+
+    def test_quotient_racks(self):
+        for coeffs in ([1, 1], [1, 0, 1]):
+            self.check(make_quotient(2, coeffs))
+
+    def test_constant_action_racks(self):
+        for sigma in ([1, 2, 3], [2, 1], [2, 3, 1], [2, 1, 3, 4],
+                      [2, 1, 4, 3], [2, 3, 4, 1, 6, 5]):
+            rack = constant_action_rack(sigma)
+            assert rack_rank(rack)[0] == _kink_order(rack.elements, rack.op)
 
 
 class TestConstructors:
@@ -210,7 +243,10 @@ class TestFindIsomorphism:
         # two commuting involutions vs one: different racks, same size
         a = constant_action_rack([2, 1, 4, 3])
         b = constant_action_rack([2, 1, 3, 4])
+        # equal order and rack rank; only the kink cycle types differ
+        assert rack_rank(a)[0] == rack_rank(b)[0] == 2
         assert find_isomorphism(a, b) is None
+        assert find_isomorphism(b, a) is None
 
 
 class TestTextFormat:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tsracks.diagrams import EdgeCrossing, LinkDiagram, parse_link, pd_code
+from tsracks.diagrams import EdgeCrossing, LinkDiagram, _UnionFind, parse_link, pd_code
 from tsracks.invariants import enumerate_homs
 from tsracks.modules import make_linear
 
@@ -43,20 +43,6 @@ _DIAG = {"NW": "SE", "SE": "NW", "NE": "SW", "SW": "NE"}
 _POS = {"NW": (-1, 1), "NE": (1, 1), "SW": (-1, -1), "SE": (1, -1)}
 
 
-class _UF(dict):
-    def find(self, x):
-        self.setdefault(x, x)
-        while self[x] != x:
-            self[x] = self[self[x]]
-            x = self[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self[max(ra, rb)] = min(ra, rb)
-
-
 def assemble(crossings, identifications):
     """Orient an unoriented diagram and build a LinkDiagram.
 
@@ -64,7 +50,7 @@ def assemble(crossings, identifications):
     {"NESW", "NWSE"}.  identifications: pairs of edge ids to merge (the
     plat caps / pretzel arcs).
     """
-    uf = _UF()
+    uf = _UnionFind()
     for c in crossings:
         for slot in ("NW", "NE", "SW", "SE"):
             uf.find(c[slot])
