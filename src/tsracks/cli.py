@@ -163,15 +163,18 @@ def cache_store(cache_dir, key, record):
 
 def _cached_record(args, source, link_spec, kind):
     cache_dir = _cache_dir(args)
-    key = None
     if cache_dir:
-        key = _cache_key({
-            "rack": source.spec, "link": link_spec, "kind": kind,
-            "version": __version__,
-        })
+        key = _cache_key({"rack": source.spec, "link": link_spec,
+                          "kind": kind, "version": __version__})
         hit = cache_lookup(cache_dir, key)
-        if hit is not None:
+        inputs = {"rack_spec": source.spec, "link_spec": link_spec,
+                  "invariant": kind, "version": __version__}
+        if isinstance(hit, dict) and all(hit.get(f) == v
+                                         for f, v in inputs.items()):
             return hit
+        if hit is not None:
+            print("warning: ignoring cache entry %s.json made for other "
+                  "inputs" % os.path.join(cache_dir, key), file=sys.stderr)
     record = _compute_record(source, link_spec, kind)
     if cache_dir:
         cache_store(cache_dir, key, record)

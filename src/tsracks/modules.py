@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
     WrongStructureError,
 )
-from .groups import AbelianGroup
+from .groups import AbelianGroup, QuotientRing
 from .racks import cycle_lengths, validate_rack
 
 
@@ -63,22 +63,20 @@ class TSRack:
         cset = set(self.carrier)
         if g.zero not in cset:
             raise ValidationError("carrier must contain 0")
-        for x in self.carrier:
-            for y in self.carrier:
-                if g.add(x, y) not in cset:
-                    raise ValidationError("carrier is not closed under +")
+        # every element is a sum of generators, so closure under + and
+        # additivity need checking only against the generators
+        gens = _generating_sequence(self)
+        if any(g.add(x, e) not in cset for x in self.carrier for e in gens):
+            raise ValidationError("carrier is not closed under +")
         for m, name in ((self.t_map, "t"), (self.s_map, "s")):
             if set(m) != cset or any(v not in cset for v in m.values()):
                 raise ValidationError("%s-action must map carrier to carrier"
                                       % name)
-            zero_img = m[g.zero]
-            if zero_img != g.zero:
+            if m[g.zero] != g.zero:
                 raise ValidationError("%s-action must fix 0" % name)
-            for x in self.carrier:
-                for y in self.carrier:
-                    if m[g.add(x, y)] != g.add(m[x], m[y]):
-                        raise ValidationError(
-                            "%s-action is not additive" % name)
+            if any(m[g.add(x, e)] != g.add(m[x], m[e])
+                   for x in self.carrier for e in gens):
+                raise ValidationError("%s-action is not additive" % name)
         if len(set(self.t_map.values())) != len(self.carrier):
             raise NotInvertibleError("t-action is not bijective")
         for x in self.carrier:
@@ -204,30 +202,22 @@ def make_quotient(n, coeffs):
 
     Requires the class of t to be a unit in R.
     """
-    from .groups import QuotientRing
-
     ring = QuotientRing(n, coeffs)
     if not ring.t_is_unit:
         raise NotInvertibleError(
             "t is not a unit in %r (constant coefficient %d is not a unit "
             "mod %d)" % (ring, ring.coeffs[0], n))
     d = ring.degree
-    group = AbelianGroup((n,) * (2 * d))
-
-    def to_pair(x):
-        return tuple(x[:d]), tuple(x[d:])
-
-    carrier = group.elements()
-    t_map = {}
-    s_map = {}
     one_minus_t = ring.sub(ring.one, ring.t)
-    for x in carrier:
-        a, b = to_pair(x)
-        t_map[x] = ring.t_times(a) + ring.t_times(b)
-        s_map[x] = ring.zero + ring.add(a, ring.mul(one_minus_t, b))
-    return TSRack(group, t_map, s_map,
-                  spec={"type": "quotient", "n": n,
-                        "p": [c % n for c in coeffs]})
+    basis = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    # column j is the image of (e_j, 0), column d + j that of (0, e_j)
+    t_cols = ([ring.t_times(e) + ring.zero for e in basis]
+              + [ring.zero + ring.t_times(e) for e in basis])
+    s_cols = ([ring.zero + e for e in basis]
+              + [ring.zero + ring.mul(one_minus_t, e) for e in basis])
+    spec = {"type": "quotient", "n": n, "p": [c % n for c in coeffs]}
+    return make_module((n,) * (2 * d), list(zip(*t_cols)),
+                       list(zip(*s_cols)), spec=spec)
 
 
 def enumerate_linear(n):
@@ -263,15 +253,21 @@ def s_submodule(rack):
 
 
 def _generating_sequence(rack):
-    """Greedy additive generating sequence for the carrier subgroup."""
-    from .groups import subgroup_closure
-
+    """Greedy additive generating sequence for the carrier: each element
+    not yet in the span of the earlier generators becomes one.  Uses only
+    group.add, so it also runs on unvalidated carriers."""
+    add = rack.group.add
     gens = []
     span = {rack.group.zero}
     for x in rack.carrier:
         if x not in span:
             gens.append(x)
-            span = set(subgroup_closure(rack.group, gens))
+            frontier = list(span)
+            while frontier:
+                y = add(frontier.pop(), x)
+                if y not in span:
+                    span.add(y)
+                    frontier.append(y)
     return gens
 
 
@@ -297,12 +293,12 @@ def _extend_additively(m_from, m_to, gens, images):
     return h
 
 
-def all_module_isos(m_from, m_to, respect_s=True):
+def all_module_isos(m_from, m_to):
     """Yield every module isomorphism between two carriers.
 
-    An isomorphism preserves +, the t-action and (when respect_s) the
-    s-action.  Enumeration goes over images of a greedy generating
-    sequence, filtered by additive order, then checks everything.
+    An isomorphism preserves +, the t-action and the s-action.
+    Enumeration goes over images of a greedy generating sequence,
+    filtered by additive order, then checks everything.
     """
     if len(m_from.carrier) != len(m_to.carrier):
         return
@@ -323,16 +319,14 @@ def all_module_isos(m_from, m_to, respect_s=True):
             continue
         if any(h[m_from.t_map[x]] != m_to.t_map[h[x]] for x in h):
             continue
-        if respect_s and any(
-            h[m_from.s_map[x]] != m_to.s_map[h[x]] for x in h
-        ):
+        if any(h[m_from.s_map[x]] != m_to.s_map[h[x]] for x in h):
             continue
         yield h
 
 
-def module_iso_exists(m_from, m_to, respect_s=True):
+def module_iso_exists(m_from, m_to):
     """First module isomorphism found, or None."""
-    for h in all_module_isos(m_from, m_to, respect_s=respect_s):
+    for h in all_module_isos(m_from, m_to):
         return h
     return None
 
@@ -396,7 +390,10 @@ def tsrack_iso_check(x_rack, y_rack):
     """
     if x_rack.order != y_rack.order:
         return None
-    if x_rack.rack_rank() != y_rack.rack_rank():
+    # an isomorphism conjugates one kink map onto the other, so the cycle
+    # types agree, and with them the rack ranks
+    if (sorted(cycle_lengths(x_rack.ts_map).values())
+            != sorted(cycle_lengths(y_rack.ts_map).values())):
         return None
     sx = s_submodule(x_rack)
     sy = s_submodule(y_rack)
@@ -410,7 +407,7 @@ def tsrack_iso_check(x_rack, y_rack):
     # t(alpha) + sX, and t permutes cosets
     coset_to_alpha = {rep_of_x[x_rack.ts_map[a]]: a for a in reps_a}
 
-    for h in all_module_isos(sx, sy, respect_s=True):
+    for h in all_module_isos(sx, sy):
         # candidates for g0(alpha): y with s y = h(s alpha)
         pools = []
         for a in reps_a:
@@ -483,25 +480,18 @@ def _search_reps(x_rack, y_rack, h, reps_a, rep_of_x, rep_of_y,
 
 def alexander_iso_check(m_rack, m2_rack):
     """Alexander-quandle criterion: equal order and (1-t)M = (1-t)M' as
-    Z[t^{+-1}]-modules.  Raises WrongStructureError off Alexander inputs."""
+    Z[t^{+-1}]-modules.  Raises WrongStructureError off Alexander inputs.
+
+    Here s = 1 - t, so (1-t)M is sX, and an additive map commuting with t
+    also commutes with s."""
     for r in (m_rack, m2_rack):
         if not r.is_alexander():
             raise WrongStructureError(
                 "%r is not an Alexander quandle (s != 1 - t)" % (r,))
     if m_rack.order != m2_rack.order:
         return False
-    sub1 = _one_minus_t_submodule(m_rack)
-    sub2 = _one_minus_t_submodule(m2_rack)
-    return module_iso_exists(sub1, sub2, respect_s=False) is not None
-
-
-def _one_minus_t_submodule(rack):
-    g = rack.group
-    image = sorted({g.sub(x, rack.t_map[x]) for x in rack.carrier})
-    t_map = {x: rack.t_map[x] for x in image}
-    # on an Alexander quandle s = 1 - t restricts to the submodule
-    s_map = {x: g.sub(x, rack.t_map[x]) for x in image}
-    return TSRack(rack.group, t_map, s_map, carrier=image)
+    return module_iso_exists(s_submodule(m_rack),
+                             s_submodule(m2_rack)) is not None
 
 
 # -- textual specs --------------------------------------------------------

@@ -3,6 +3,8 @@
 additive_oracle recomputes the additive enhancement of the 16-element
 (t,s)-rack Lambda/(2, t^2+1) on closed pure 2-strand braids straight from
 the definitions, for checking tsracks.invariants.additive_enhanced.
+tsrack_validation_oracle checks the (t,s)-rack conditions on a carrier over
+all pairs of elements, for checking the TSRack constructor.
 
 Ring elements of Z_2[t]/(t^2+1) are bit pairs (c0, c1) = c0 + c1 t.  Rack
 elements are pairs (a, b) of ring elements standing for a + b s, with
@@ -114,3 +116,42 @@ def format_u(terms):
         coeff = "" if terms[e] == 1 else str(terms[e])
         out.append(coeff + ("u" if e == 1 else "u^%d" % e))
     return " + ".join(out)
+
+
+def tsrack_validation_oracle(moduli, carrier, t_map, s_map):
+    """The (t,s)-rack conditions on a carrier of Z_m1 + ... + Z_mk, checked
+    over all pairs and in the order TSRack checks them.  Returns None when
+    they hold, else the (exception class name, message) TSRack raises."""
+    def add(x, y):
+        return tuple((a + b) % m for a, b, m in zip(x, y, moduli))
+
+    zero = (0,) * len(moduli)
+    carrier = sorted(carrier)
+    cset = set(carrier)
+    if zero not in cset:
+        return "ValidationError", "carrier must contain 0"
+    if any(add(x, y) not in cset for x in carrier for y in carrier):
+        return "ValidationError", "carrier is not closed under +"
+    for m, name in ((t_map, "t"), (s_map, "s")):
+        if set(m) != cset or any(v not in cset for v in m.values()):
+            return ("ValidationError",
+                    "%s-action must map carrier to carrier" % name)
+        if m[zero] != zero:
+            return "ValidationError", "%s-action must fix 0" % name
+        if any(m[add(x, y)] != add(m[x], m[y])
+               for x in carrier for y in carrier):
+            return "ValidationError", "%s-action is not additive" % name
+    if len(set(t_map.values())) != len(carrier):
+        return "NotInvertibleError", "t-action is not bijective"
+    for x in carrier:
+        if t_map[s_map[x]] != s_map[t_map[x]]:
+            return "ValidationError", "t and s do not commute at %r" % (x,)
+    for x in carrier:
+        ss = s_map[s_map[x]]
+        want = tuple((a - b) % m for a, b, m
+                     in zip(s_map[x], s_map[t_map[x]], moduli))
+        if ss != want:
+            return ("RelationViolationError",
+                    "s^2 != (Id - t)s at %r: s^2 x = %r, (Id-t)s x = %r"
+                    % (x, ss, want))
+    return None

@@ -162,6 +162,25 @@ class TestCache:
         assert out1 == out2
         assert "corrupt" in err
 
+    def test_entry_for_other_inputs_recomputed(self, tmp_path, capsys):
+        def args(cache, link):
+            return ["--cache-dir", str(cache), "invariant",
+                    "--rack", Z4_SPEC, "--link", link,
+                    "--kind", "count", "--format", "json-like"]
+
+        _, fresh, _ = run(capsys, *args(tmp_path / "a", "unknots: 1"))
+        entry = next((tmp_path / "a").glob("*.json"))
+        stored = entry.read_bytes()
+        run(capsys, *args(tmp_path / "b", "unknots: 2"))
+        other = next((tmp_path / "b").glob("*.json")).read_bytes()
+        assert other != stored
+        entry.write_bytes(other)
+        code, out, err = run(capsys, *args(tmp_path / "a", "unknots: 1"))
+        assert code == 0
+        assert out == fresh
+        assert "other inputs" in err
+        assert entry.read_bytes() == stored
+
     def test_env_var_cache(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TSRACKS_CACHE_DIR", str(tmp_path))
         code, _, _ = run(capsys, "invariant", "--rack", Z4_SPEC,

@@ -6,6 +6,7 @@ from tsracks.errors import (
     ValidationError,
     WrongStructureError,
 )
+from tsracks.groups import QuotientRing
 from tsracks.modules import (
     alexander_iso_check,
     enumerate_linear,
@@ -66,6 +67,26 @@ class TestMakeQuotient:
     def test_t_must_be_unit_in_ring(self):
         with pytest.raises(NotInvertibleError):
             make_quotient(4, [2, 1])  # constant term 2 not a unit mod 4
+
+    @pytest.mark.parametrize("n, coeffs", [
+        (2, [1, 1]), (2, [1, 0, 1]), (2, [1, 1, 1]), (3, [1, 1]),
+        (5, [2, 1]), (3, [2, 0, 1]), (2, [1, 0, 0, 1, 1]),
+    ])
+    def test_maps_match_ring_definition(self, n, coeffs):
+        # element by element: x = (a, b) stands for a + b s, with
+        # t(x) = (t a, t b) and s(x) = (0, a + (1-t) b) in R = Z_n[t]/(p)
+        ring = QuotientRing(n, coeffs)
+        d = ring.degree
+        one_minus_t = ring.sub(ring.one, ring.t)
+        pairs = [a + b for a in ring.elements() for b in ring.elements()]
+        x = make_quotient(n, coeffs)
+        assert x.carrier == tuple(sorted(pairs))
+        assert x.spec == {"type": "quotient", "n": n, "p": coeffs}
+        assert set(x.t_map) == set(x.s_map) == set(pairs)
+        for v in pairs:
+            a, b = v[:d], v[d:]
+            assert x.t(v) == ring.t_times(a) + ring.t_times(b)
+            assert x.s(v) == ring.zero + ring.add(a, ring.mul(one_minus_t, b))
 
 
 class TestMakeModule:
@@ -211,16 +232,32 @@ class TestTSRackIsoCheck:
         x = make_linear(4, 1, 2)
         assert tsrack_iso_check(x, x) is not None
 
+    def test_kink_cycle_type_obstruction(self):
+        # equal order and rack rank, kink cycle types 2^4 1^4 and 2^3 1^6
+        x, y = make_linear(12, 5, 0), make_linear(12, 7, 0)
+        assert x.rack_rank() == y.rack_rank() == 2
+        assert tsrack_iso_check(x, y) is None
+        assert tsrack_iso_check(y, x) is None
+
+    @staticmethod
+    def assert_agrees_with_brute_force(racks):
+        finite = [r.to_finite_rack() for r in racks]
+        for a, fa in zip(racks, finite):
+            for b, fb in zip(racks, finite):
+                brute = find_isomorphism(fa, fb)
+                cert = tsrack_iso_check(a, b)
+                assert (brute is None) == (cert is None), (a, b)
+
+    def test_agrees_with_brute_force_s_zero(self):
+        self.assert_agrees_with_brute_force(
+            [make_linear(n, t, s) for n in range(2, 11)
+             for t, s in enumerate_linear(n) if s == 0])
+
     def test_agrees_with_brute_force_small(self):
         racks = [make_linear(n, t, s)
                  for n in (2, 3, 4) for t, s in enumerate_linear(n)]
         racks.append(make_quotient(2, [1, 1]))
-        for a in racks:
-            for b in racks:
-                brute = find_isomorphism(a.to_finite_rack(),
-                                         b.to_finite_rack())
-                cert = tsrack_iso_check(a, b)
-                assert (brute is None) == (cert is None), (a, b)
+        self.assert_agrees_with_brute_force(racks)
 
 
 class TestAlexanderIsoCheck:
