@@ -18,7 +18,8 @@ The isomorphism machinery implements two classification criteria:
 
 Both directions of the general criterion are exercised against brute-force
 rack isomorphism search in the test suite; a found certificate is always
-re-verified end to end as an honest rack isomorphism before it is returned.
+re-verified end to end as a rack isomorphism, and a failure raises
+ConsistencyError.
 """
 
 from dataclasses import dataclass
@@ -252,10 +253,11 @@ def s_submodule(rack):
 # -- module isomorphisms -------------------------------------------------
 
 
-def _generating_sequence(rack):
-    """Greedy additive generating sequence for the carrier: each element
-    not yet in the span of the earlier generators becomes one.  Uses only
-    group.add, so it also runs on unvalidated carriers."""
+def _generating_sequence(rack, maps=()):
+    """Greedy generating sequence for the carrier: each element not yet in
+    the span of the earlier generators becomes one.  The span is closed
+    under + and under each of ``maps``, so maps=(t_map,) generates over
+    Z[t].  With no maps it also runs on unvalidated carriers."""
     add = rack.group.add
     gens = []
     span = {rack.group.zero}
@@ -264,71 +266,60 @@ def _generating_sequence(rack):
             gens.append(x)
             frontier = list(span)
             while frontier:
-                y = add(frontier.pop(), x)
-                if y not in span:
-                    span.add(y)
-                    frontier.append(y)
+                y = frontier.pop()
+                for z in [add(y, x)] + [m[y] for m in maps]:
+                    if z not in span:
+                        span.add(z)
+                        frontier.append(z)
     return gens
 
 
-def _extend_additively(m_from, m_to, gens, images):
-    """Extend gen -> image additively over the carrier, or None on clash."""
+def _extend(m_from, m_to, gens, images):
+    """Extend gen -> image along the edges x -> x + gen and x -> t(x):
+    an additive map commuting with t, or None on a clash."""
     g_from, g_to = m_from.group, m_to.group
     h = {g_from.zero: g_to.zero}
     frontier = [g_from.zero]
-    pairs = list(zip(gens, images))
     while frontier:
         x = frontier.pop()
-        for gen, img in pairs:
-            nx = g_from.add(x, gen)
-            ny = g_to.add(h[x], img)
-            if nx in h:
-                if h[nx] != ny:
-                    return None
-            else:
+        edges = [(g_from.add(x, gen), g_to.add(h[x], img))
+                 for gen, img in zip(gens, images)]
+        edges.append((m_from.t_map[x], m_to.t_map[h[x]]))
+        for nx, ny in edges:
+            if nx not in h:
                 h[nx] = ny
                 frontier.append(nx)
-    if len(h) != len(m_from.carrier):
-        return None
+            elif h[nx] != ny:
+                return None
     return h
 
 
 def all_module_isos(m_from, m_to):
-    """Yield every module isomorphism between two carriers.
+    """Yield every module isomorphism between two carriers: a bijection
+    that preserves +, the t-action and the s-action.
 
-    An isomorphism preserves +, the t-action and the s-action.
-    Enumeration goes over images of a greedy generating sequence,
-    filtered by additive order, then checks everything.
+    An additive map commuting with t is fixed by its images of a
+    generating sequence over Z[t], so only those are chosen, each among
+    the elements of the same additive order.  The extension along
+    x -> x + gen and x -> t(x) makes h additive and t-compatible, or
+    clashes; s-compatibility and bijectivity are checked on the result.
     """
     if len(m_from.carrier) != len(m_to.carrier):
         return
-    gens = _generating_sequence(m_from)
-    if not gens:
-        yield {m_from.group.zero: m_to.group.zero}
-        return
-    orders = [m_from.group.element_order(g) for g in gens]
-    candidate_pools = [
-        [y for y in m_to.carrier if m_to.group.element_order(y) == o]
-        for o in orders
-    ]
-    for images in product(*candidate_pools):
-        h = _extend_additively(m_from, m_to, gens, images)
-        if h is None:
-            continue
-        if len(set(h.values())) != len(h):
-            continue
-        if any(h[m_from.t_map[x]] != m_to.t_map[h[x]] for x in h):
-            continue
-        if any(h[m_from.s_map[x]] != m_to.s_map[h[x]] for x in h):
-            continue
-        yield h
+    gens = _generating_sequence(m_from, (m_from.t_map,))
+    pools = [[y for y in m_to.carrier
+              if m_to.group.element_order(y)
+              == m_from.group.element_order(gen)] for gen in gens]
+    for images in product(*pools):
+        h = _extend(m_from, m_to, gens, images)
+        if (h is not None and len(set(h.values())) == len(h)
+                and all(h[m_from.s_map[x]] == m_to.s_map[h[x]] for x in h)):
+            yield h
 
 
 def module_iso_exists(m_from, m_to):
     """First module isomorphism found, or None."""
-    for h in all_module_isos(m_from, m_to):
-        return h
-    return None
+    return next(all_module_isos(m_from, m_to), None)
 
 
 # -- the (t,s)-rack isomorphism criterion --------------------------------
@@ -351,42 +342,30 @@ class TSRackIsoCertificate:
     phi: dict
 
 
-def _coset_data(rack, sub_elements):
-    """(canonical representative list, element -> representative map)."""
-    sub = set(sub_elements)
-    rep_of = {}
-    reps = []
-    for x in rack.carrier:  # carrier is sorted, so first hit is lex-least
-        key = min(rack.group.add(x, w) for w in sub)
-        rep_of[x] = key
-        if key == x:
+def _cosets(rack, sub):
+    """(lex-least coset representatives of the carrier modulo sub,
+    element -> representative map), in one pass: the carrier is sorted,
+    so the first element met of each coset is its least."""
+    rep_of, reps = {}, []
+    for x in rack.carrier:
+        if x not in rep_of:
             reps.append(x)
+            for w in sub.carrier:
+                rep_of[rack.group.add(x, w)] = x
     return reps, rep_of
-
-
-def _orbit(rack, seed):
-    """Forward (t+s)-closure of a set; the action has finite order, so
-    forward iteration reaches the whole orbit."""
-    out = set(seed)
-    frontier = list(seed)
-    while frontier:
-        x = frontier.pop()
-        y = rack.ts_map[x]
-        if y not in out:
-            out.add(y)
-            frontier.append(y)
-    return out
 
 
 def tsrack_iso_check(x_rack, y_rack):
     """Decide (t,s)-rack isomorphism via the submodule criterion.
 
-    Searches module isomorphisms h : sX -> sY, then representative
-    choices g0 : A -> Y with s g0(a) = h(s a) hitting every coset of sY
-    once (their image is the representative set B), then checks the orbit
-    compatibility equation.  A certificate is assembled and verified as an
-    actual rack isomorphism before being returned; None means no witness
-    exists.
+    For a module isomorphism h : sX -> sY and representatives A of the
+    cosets of sX, phi(a + w) = g0(a) + h(w) is a rack isomorphism iff
+      * s g0(a) = h(s a) for each a in A,
+      * the images g0(a) lie in distinct cosets of sY (they form B), and
+      * t g0(a) = g0(a') + h(t a - a'), a' the representative of t a.
+    So h is searched first, then g0 one t-cycle of cosets at a time.  g is
+    phi on the (t+s)-orbit of A.  phi is verified before it is returned;
+    None means no witness exists.
     """
     if x_rack.order != y_rack.order:
         return None
@@ -395,87 +374,87 @@ def tsrack_iso_check(x_rack, y_rack):
     if (sorted(cycle_lengths(x_rack.ts_map).values())
             != sorted(cycle_lengths(y_rack.ts_map).values())):
         return None
-    sx = s_submodule(x_rack)
-    sy = s_submodule(y_rack)
+    sx, sy = s_submodule(x_rack), s_submodule(y_rack)
     if sx.order != sy.order:
         return None
-
-    reps_a, rep_of_x = _coset_data(x_rack, sx.carrier)
-    _, rep_of_y = _coset_data(y_rack, sy.carrier)
-
-    # alpha is recovered from a coset: (t+s)alpha + w lies in the coset
-    # t(alpha) + sX, and t permutes cosets
-    coset_to_alpha = {rep_of_x[x_rack.ts_map[a]]: a for a in reps_a}
-
+    reps_a, rep_of_x = _cosets(x_rack, sx)
+    _, rep_of_y = _cosets(y_rack, sy)
+    gx, gy = x_rack.group, y_rack.group
     for h in all_module_isos(sx, sy):
-        # candidates for g0(alpha): y with s y = h(s alpha)
-        pools = []
+        g0 = _search_reps(x_rack, y_rack, h, reps_a, rep_of_x, rep_of_y)
+        if g0 is None:
+            continue
+        phi = {x: gy.add(g0[rep_of_x[x]], h[gx.sub(x, rep_of_x[x])])
+               for x in x_rack.carrier}
+        if (len(set(phi.values())) != x_rack.order
+                or any(phi[x_rack.op(x, y)] != y_rack.op(phi[x], phi[y])
+                       for x in x_rack.carrier for y in x_rack.carrier)):
+            raise ConsistencyError(
+                "assembled map is not a rack isomorphism %r -> %r"
+                % (x_rack, y_rack))
+        orbit = set()
         for a in reps_a:
-            target = h[x_rack.s_map[a]]
-            pools.append([y for y in y_rack.carrier
-                          if y_rack.s_map[y] == target])
-        cert = _search_reps(x_rack, y_rack, h, reps_a, rep_of_x,
-                            rep_of_y, coset_to_alpha, pools)
-        if cert is not None:
-            return cert
+            while a not in orbit:
+                orbit.add(a)
+                a = x_rack.ts_map[a]
+        return TSRackIsoCertificate(
+            h=h, coset_reps_a=tuple(reps_a),
+            coset_reps_b=tuple(g0[a] for a in reps_a),
+            g={x: phi[x] for x in sorted(orbit)}, phi=phi)
     return None
 
 
-def _search_reps(x_rack, y_rack, h, reps_a, rep_of_x, rep_of_y,
-                 coset_to_alpha, pools):
+def _search_reps(x_rack, y_rack, h, reps_a, rep_of_x, rep_of_y):
+    """The lex-least g0 : A -> Y meeting the three conditions of
+    tsrack_iso_check for h, or None.
+
+    t permutes the cosets of sX, so g0 at the least representative of a
+    t-cycle of cosets fixes g0 on the rest of the cycle through
+    g0(a') = t g0(a) - h(t a - a'); a choice fails as soon as an image
+    repeats a coset of sY or the cycle does not close.  s g0 = h s holds
+    along the cycle once it holds at its start.
+    """
     gx, gy = x_rack.group, y_rack.group
-    n_cosets = len(reps_a)
+    cycles, seen = [], set()
+    for a in reps_a:
+        if a not in seen:
+            cycle = [a]
+            while (nxt := rep_of_x[x_rack.t_map[cycle[-1]]]) != a:
+                cycle.append(nxt)
+            seen.update(cycle)
+            cycles.append(cycle)
+    g0, used = {}, set()
 
-    def backtrack(idx, g0, used_cosets):
-        if idx == n_cosets:
-            return try_certificate(dict(g0))
-        a = reps_a[idx]
-        for y in pools[idx]:
-            c = rep_of_y[y]
-            if c in used_cosets:
+    def choices(cycle):
+        """Set g0 along the cycle from each start that closes it, and
+        yield with the cosets of sY it takes held in ``used``."""
+        target = h[x_rack.s_map[cycle[0]]]
+        for start in y_rack.carrier:
+            if y_rack.s_map[start] != target:
                 continue
-            g0[a] = y
-            used_cosets.add(c)
-            cert = backtrack(idx + 1, g0, used_cosets)
-            if cert is not None:
-                return cert
-            del g0[a]
-            used_cosets.discard(c)
-        return None
+            y, taken = start, []
+            for a, a_next in zip(cycle, cycle[1:] + cycle[:1]):
+                c = rep_of_y[y]
+                if c in used:
+                    break
+                used.add(c)
+                taken.append(c)
+                g0[a] = y
+                y = gy.sub(y_rack.t_map[y], h[gx.sub(x_rack.t_map[a], a_next)])
+            if len(taken) == len(cycle) and y == start:
+                yield True
+            used.difference_update(taken)
 
-    def try_certificate(g0):
-        orbit_a = _orbit(x_rack, reps_a)
-        g_full = {}
-        for x in sorted(orbit_a):
-            a = coset_to_alpha[rep_of_x[x]]
-            w = gx.sub(x, x_rack.ts_map[a])
-            if w not in h:
-                return None
-            g_full[x] = gy.add(y_rack.ts_map[g0[a]], h[w])
-        # g must restrict to g0 on A and map the orbit of A bijectively
-        # onto the orbit of B
-        for a in reps_a:
-            if g_full[a] != g0[a]:
-                return None
-        orbit_b = _orbit(y_rack, [g0[a] for a in reps_a])
-        values = set(g_full.values())
-        if len(values) != len(g_full) or values != orbit_b:
-            return None
-        phi = {}
-        for x in x_rack.carrier:
-            a = rep_of_x[x]
-            w = gx.sub(x, a)
-            phi[x] = gy.add(g0[a], h[w])
-        if len(set(phi.values())) != x_rack.order:
-            return None
-        if any(phi[x_rack.op(x, y)] != y_rack.op(phi[x], phi[y])
-               for x in x_rack.carrier for y in x_rack.carrier):
-            return None
-        reps_b = tuple(g0[a] for a in reps_a)
-        return TSRackIsoCertificate(h=h, coset_reps_a=tuple(reps_a),
-                                    coset_reps_b=reps_b, g=g_full, phi=phi)
-
-    return backtrack(0, {}, set())
+    # depth first, without recursion: there may be as many cycles as elements
+    stack = [choices(cycles[0])]
+    while stack:
+        if not next(stack[-1], False):
+            stack.pop()
+        elif len(stack) == len(cycles):
+            return g0
+        else:
+            stack.append(choices(cycles[len(stack)]))
+    return None
 
 
 def alexander_iso_check(m_rack, m2_rack):

@@ -5,6 +5,8 @@ additive_oracle recomputes the additive enhancement of the 16-element
 the definitions, for checking tsracks.invariants.additive_enhanced.
 tsrack_validation_oracle checks the (t,s)-rack conditions on a carrier over
 all pairs of elements, for checking the TSRack constructor.
+module_iso_oracle lists module isomorphisms by trying every bijection, for
+checking tsracks.modules.all_module_isos.
 
 Ring elements of Z_2[t]/(t^2+1) are bit pairs (c0, c1) = c0 + c1 t.  Rack
 elements are pairs (a, b) of ring elements standing for a + b s, with
@@ -12,7 +14,7 @@ t(a, b) = (ta, tb), s(a, b) = (0, a + (1-t)b) and x > y = t(x) + s(y).
 """
 
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 RING = list(product(range(2), repeat=2))
 RACK = list(product(RING, repeat=2))
@@ -155,3 +157,28 @@ def tsrack_validation_oracle(moduli, carrier, t_map, s_map):
                     "s^2 != (Id - t)s at %r: s^2 x = %r, (Id-t)s x = %r"
                     % (x, ss, want))
     return None
+
+
+def module_iso_oracle(source, target):
+    """Every module isomorphism between two carriers, by trying every
+    bijection h with h(0) = 0.  Each module is (moduli, carrier, t_map,
+    s_map): a carrier of Z_m1 + ... + Z_mk with its t- and s-actions as
+    dicts.  h must be additive and commute with t and with s."""
+    (m1, c1, t1, s1), (m2, c2, t2, s2) = source, target
+    if len(c1) != len(c2):
+        return []
+
+    def add(x, y, moduli):
+        return tuple((a + b) % m for a, b, m in zip(x, y, moduli))
+
+    zero1, zero2 = (0,) * len(m1), (0,) * len(m2)
+    rest1 = [x for x in c1 if x != zero1]
+    out = []
+    for images in permutations([y for y in c2 if y != zero2]):
+        h = dict(zip(rest1, images))
+        h[zero1] = zero2
+        if (all(h[t1[x]] == t2[h[x]] and h[s1[x]] == s2[h[x]] for x in c1)
+                and all(h[add(x, y, m1)] == add(h[x], h[y], m2)
+                        for x in c1 for y in c1)):
+            out.append(h)
+    return out

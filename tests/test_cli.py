@@ -9,6 +9,22 @@ Z4_SPEC = '{"type":"linear","n":4,"t":1,"s":2}'
 R4_SPEC = '{"type":"linear","n":4,"t":3,"s":2}'
 QUOT_SPEC = '{"type":"quotient","n":2,"p":[1,1]}'
 FIG8_PD = ("pd: X[1,6,2,7] X[5,2,6,3] X[3,1,4,8] X[7,5,8,4]")
+# Alexander quandles A(2; x^4+x^3+1) and A(2; x^4+x^2+1): t the companion
+# matrix, s = 1 - t
+A2_SPECS = (
+    '{"type":"module","moduli":[2,2,2,2],'
+    '"t":[[0,0,0,1],[1,0,0,0],[0,1,0,0],[0,0,1,1]],'
+    '"s":[[1,0,0,1],[1,1,0,0],[0,1,1,0],[0,0,1,0]]}',
+    '{"type":"module","moduli":[2,2,2,2],'
+    '"t":[[0,0,0,1],[1,0,0,0],[0,1,0,1],[0,0,1,0]],'
+    '"s":[[1,0,0,1],[1,1,0,0],[0,1,1,1],[0,0,1,1]]}',
+)
+# quotient(3, [2,0,1]) in the basis P = [[0,1,1,0], [2,0,1,0], [0,1,0,2],
+# [0,1,1,1]]: T' = P T P^-1, S' = P S P^-1
+Q3_REBASED = (
+    '{"type":"module","moduli":[3,3,3,3],'
+    '"t":[[1,2,2,0],[0,0,2,0],[0,2,0,0],[0,2,1,2]],'
+    '"s":[[2,2,1,0],[2,2,1,0],[1,0,1,0],[1,2,0,0]]}')
 
 
 def run(capsys, *argv):
@@ -78,6 +94,21 @@ class TestIsoCheck:
                            "--rack", Z4_SPEC, "--rack2", R4_SPEC)
         assert code == 0
         assert out.strip() == "not isomorphic"
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_module_specs_not_isomorphic(self, capsys, order):
+        code, out, _ = run(capsys, "iso-check", "--rack", A2_SPECS[order[0]],
+                           "--rack2", A2_SPECS[order[1]])
+        assert code == 0
+        assert out.strip() == "not isomorphic"
+
+    def test_module_spec_isomorphic(self, capsys):
+        code, out, _ = run(capsys, "iso-check", "--rack",
+                           '{"type":"quotient","n":3,"p":[2,0,1]}',
+                           "--rack2", Q3_REBASED)
+        assert code == 0
+        assert out.startswith("isomorphic")
+        assert "phi" in out
 
     def test_matrix_route(self, tmp_path, capsys):
         a = tmp_path / "a.txt"

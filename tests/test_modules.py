@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import module_iso_oracle
 from tsracks.errors import (
     NotInvertibleError,
     RelationViolationError,
@@ -9,6 +10,7 @@ from tsracks.errors import (
 from tsracks.groups import QuotientRing
 from tsracks.modules import (
     alexander_iso_check,
+    all_module_isos,
     enumerate_linear,
     make_linear,
     make_module,
@@ -23,6 +25,84 @@ from tsracks.racks import find_isomorphism, is_homomorphism, rack_rank
 PAPER_ORDER_Z4 = [(1,), (2,), (3,), (0,)]
 EXAMPLE_36 = ((3, 1, 3, 1), (4, 2, 4, 2), (1, 3, 1, 3), (2, 4, 2, 4))
 EXAMPLE_37 = ((1, 3, 1, 3), (2, 4, 2, 4), (3, 1, 3, 1), (4, 2, 4, 2))
+
+
+def _alexander(n, coeffs):
+    """Module spec of the Alexander quandle A(n; p): t is the companion
+    matrix of the monic p (ascending coefficients) over Z_n, s = 1 - t."""
+    d = len(coeffs) - 1
+    t = [[int(i == j + 1) for j in range(d)] for i in range(d)]
+    for i in range(d):
+        t[i][d - 1] = -coeffs[i] % n
+    s = [[(int(i == j) - t[i][j]) % n for j in range(d)] for i in range(d)]
+    return {"type": "module", "moduli": [n] * d, "t": t, "s": s}
+
+
+def _rebased_spec(rack, p):
+    """Module spec of ``rack`` on Z_n^k written in the basis given by the
+    invertible matrix p: T' = P T P^-1 and S' = P S P^-1, so x -> Px is a
+    rack isomorphism onto it."""
+    n, k = rack.group.moduli[0], len(p)
+
+    def apply(x):
+        return tuple(sum(a * b for a, b in zip(row, x)) % n for row in p)
+
+    p_inv = {apply(x): x for x in rack.carrier}
+    assert len(p_inv) == rack.order, "p is not invertible"
+    basis = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    t = [list(r) for r in zip(*(apply(rack.t(p_inv[e])) for e in basis))]
+    s = [list(r) for r in zip(*(apply(rack.s(p_inv[e])) for e in basis))]
+    return {"type": "module", "moduli": [n] * k, "t": t, "s": s}
+
+
+def _assert_rack_isomorphism(x, y, phi):
+    assert sorted(phi) == list(x.carrier)
+    assert sorted(phi.values()) == list(y.carrier)
+    for u in x.carrier:
+        for v in x.carrier:
+            assert phi[x.op(u, v)] == y.op(phi[u], phi[v])
+
+
+def _assert_certificate(x, y, cert):
+    """The conditions of the (t,s)-rack criterion on a certificate."""
+    gx, gy = x.group, y.group
+    sx, sy = s_submodule(x), s_submodule(y)
+    h, g, phi = cert.h, cert.g, cert.phi
+    reps_a, reps_b = cert.coset_reps_a, cert.coset_reps_b
+    # h is an additive bijection sX -> sY commuting with t and s
+    assert sorted(h) == list(sx.carrier)
+    assert sorted(h.values()) == list(sy.carrier)
+    for v in sx.carrier:
+        assert h[x.t(v)] == y.t(h[v]) and h[x.s(v)] == y.s(h[v])
+        for w in sx.carrier:
+            assert h[gx.add(v, w)] == gy.add(h[v], h[w])
+    # A and B = g(A) meet every coset of sX and sY exactly once, and
+    # s g(a) = h(s a)
+    assert sorted(gx.add(a, w) for a in reps_a for w in sx.carrier) \
+        == list(x.carrier)
+    assert reps_b == tuple(g[a] for a in reps_a)
+    assert sorted(gy.add(b, w) for b in reps_b for w in sy.carrier) \
+        == list(y.carrier)
+    for a in reps_a:
+        assert y.s(g[a]) == h[x.s(a)]
+    # g lives on the (t+s)-orbit of A: g((t+s)a + w) = (t+s)g(a) + h(w)
+    orbit, frontier = set(reps_a), list(reps_a)
+    while frontier:
+        v = x.ts(frontier.pop())
+        if v not in orbit:
+            orbit.add(v)
+            frontier.append(v)
+    assert set(g) == orbit
+    for a in orbit:
+        for w in sx.carrier:
+            v = gx.add(x.ts(a), w)
+            if v in orbit:
+                assert g[v] == gy.add(y.ts(g[a]), h[w])
+    # phi(a + w) = g(a) + h(w), a rack isomorphism
+    for a in reps_a:
+        for w in sx.carrier:
+            assert phi[gx.add(a, w)] == gy.add(g[a], h[w])
+    _assert_rack_isomorphism(x, y, phi)
 
 
 class TestMakeLinear:
@@ -198,6 +278,75 @@ class TestModuleIso:
                 assert h[g.add(x, y)] == g.add(h[x], h[y])
 
 
+# (moduli, [(t matrix, s matrix), ...]): (t,s)-racks on the whole group;
+# some are isomorphic through a change of basis, most are not
+MODULES_ON_GROUPS = {
+    "Z4": ((4,), [([[t]], [[s]]) for t, s in enumerate_linear(4)]),
+    "Z2+Z2": ((2, 2), [
+        ([[1, 0], [0, 1]], [[0, 0], [0, 0]]),
+        ([[1, 1], [0, 1]], [[0, 1], [0, 0]]),
+        ([[0, 1], [1, 1]], [[1, 1], [1, 0]]),
+        ([[1, 0], [0, 1]], [[0, 0], [1, 0]]),
+        ([[0, 1], [1, 0]], [[0, 0], [0, 0]]),
+        ([[1, 0], [1, 1]], [[0, 0], [1, 0]]),
+    ]),
+    "Z2^3": ((2, 2, 2), [
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 0]] * 3),
+        ([[0, 0, 1], [1, 0, 1], [0, 1, 0]], [[1, 0, 1], [1, 1, 1], [0, 1, 1]]),
+        ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], [[1, 1, 0], [0, 1, 1], [1, 1, 1]]),
+        ([[0, 0, 1], [1, 0, 1], [0, 1, 0]], [[0, 0, 0]] * 3),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+         [[0, 0, 0], [1, 0, 0], [0, 0, 0]]),
+    ]),
+    "Z2+Z4": ((2, 4), [
+        ([[1, 0], [0, 1]], [[0, 0], [0, 0]]),
+        ([[1, 0], [2, 3]], [[0, 0], [2, 0]]),
+        ([[1, 0], [0, 3]], [[0, 1], [0, 0]]),
+        ([[1, 1], [2, 3]], [[0, 0], [0, 2]]),
+        ([[1, 0], [2, 1]], [[0, 2], [2, 0]]),
+        ([[1, 3], [0, 1]], [[0, 1], [0, 2]]),
+        ([[1, 2], [2, 1]], [[0, 0], [0, 2]]),
+    ]),
+}
+
+
+def _oracle_module(m):
+    return m.group.moduli, m.carrier, m.t_map, m.s_map
+
+
+def _assert_isos_match_oracle(modules):
+    """all_module_isos yields exactly the oracle's maps, pair by pair."""
+    for a in modules:
+        for b in modules:
+            found = [frozenset(h.items()) for h in all_module_isos(a, b)]
+            assert len(set(found)) == len(found)
+            want = module_iso_oracle(_oracle_module(a), _oracle_module(b))
+            assert set(found) == {frozenset(h.items()) for h in want}, (a, b)
+
+
+class TestModuleIsosAgainstOracle:
+    @pytest.mark.parametrize("group", sorted(MODULES_ON_GROUPS))
+    def test_whole_groups(self, group):
+        moduli, maps = MODULES_ON_GROUPS[group]
+        _assert_isos_match_oracle([make_module(moduli, t, s)
+                                   for t, s in maps])
+
+    def test_s_submodules(self):
+        # proper subgroups of their ambient groups, of orders 2, 4 and 8
+        racks = [make_linear(8, 1, 4), make_linear(16, 1, 4),
+                 make_linear(16, 9, 4), make_quotient(2, [1, 1]),
+                 make_quotient(2, [1, 0, 1]), make_quotient(2, [1, 1, 1]),
+                 make_quotient(2, [1, 0, 0, 1]),
+                 make_quotient(2, [1, 1, 0, 1])]
+        _assert_isos_match_oracle([s_submodule(r) for r in racks])
+
+    def test_no_isomorphism(self):
+        pair = [make_module((5,), [[2]], [[4]]),
+                make_module((5,), [[3]], [[3]])]
+        assert list(all_module_isos(*pair)) == []
+        _assert_isos_match_oracle(pair)
+
+
 class TestTSRackIsoCheck:
     def test_paper_isomorphic_pair(self):
         x = make_linear(4, 1, 2)
@@ -214,15 +363,16 @@ class TestTSRackIsoCheck:
         assert len(set(f.values())) == 4
 
     def test_certificate_conditions(self):
-        x = make_linear(4, 1, 2)
-        y = make_quotient(2, [1, 1])
-        cert = tsrack_iso_check(x, y)
-        sx = s_submodule(x)
-        for alpha in cert.coset_reps_a:
-            assert cert.h[x.s(alpha)] == y.s(cert.g[alpha])
-        for v in cert.g:
-            # g((t+s)a + w) = (t+s)g(a) + h(w) for the unique decomposition
-            pass  # assembled and verified inside the search
+        pairs = [(make_linear(4, 1, 2), make_quotient(2, [1, 1]))]
+        for n in range(2, 9):
+            racks = [make_linear(n, t, s) for t, s in enumerate_linear(n)]
+            pairs += [(a, b) for a in racks for b in racks]
+        for i, (x, y) in enumerate(pairs):
+            cert = tsrack_iso_check(x, y)
+            # the paper's pair and every rack against itself are isomorphic
+            assert cert is not None or (i > 0 and x is not y)
+            if cert is not None:
+                _assert_certificate(x, y, cert)
 
     def test_rank_obstruction(self):
         assert tsrack_iso_check(make_linear(4, 1, 2),
@@ -250,14 +400,64 @@ class TestTSRackIsoCheck:
 
     def test_agrees_with_brute_force_s_zero(self):
         self.assert_agrees_with_brute_force(
-            [make_linear(n, t, s) for n in range(2, 11)
+            [make_linear(n, t, s) for n in range(2, 17)
              for t, s in enumerate_linear(n) if s == 0])
 
     def test_agrees_with_brute_force_small(self):
-        racks = [make_linear(n, t, s)
-                 for n in (2, 3, 4) for t, s in enumerate_linear(n)]
-        racks.append(make_quotient(2, [1, 1]))
-        self.assert_agrees_with_brute_force(racks)
+        # every equal-order pair up to n = 11; at n = 12 find_isomorphism
+        # alone takes about 16 s
+        for n in range(2, 12):
+            racks = [make_linear(n, t, s) for t, s in enumerate_linear(n)]
+            if n == 4:
+                racks.append(make_quotient(2, [1, 1]))
+            self.assert_agrees_with_brute_force(racks)
+
+
+# fixed invertible matrices over Z_3 for rebasing quotient(3, [2,0,1])
+REBASINGS = [
+    [[0, 1, 2, 1], [1, 0, 1, 0], [2, 2, 0, 1], [1, 0, 0, 2]],
+    [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+    [[1, 2, 0, 1], [0, 1, 1, 0], [2, 0, 1, 0], [0, 0, 1, 1]],
+    [[2, 1, 1, 0], [1, 0, 2, 1], [0, 1, 1, 2], [1, 1, 0, 1]],
+    [[0, 1, 1, 0], [2, 0, 1, 0], [0, 1, 0, 2], [0, 1, 1, 1]],
+]
+
+
+class TestHardPairs:
+    """Pairs the criterion once took seconds or more to decide."""
+
+    # Alexander quandles on Z_2^4 with invertible 1 - t: t of order 15
+    # against t of order 6
+    A2 = (_alexander(2, [1, 0, 0, 1, 1]), _alexander(2, [1, 0, 1, 0, 1]))
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_alexander_look_alikes_z2(self, order):
+        x, y = (tsrack_from_spec(self.A2[i]) for i in order)
+        assert tsrack_iso_check(x, y) is None
+        assert not alexander_iso_check(x, y)
+        assert find_isomorphism(x.to_finite_rack(),
+                                y.to_finite_rack()) is None
+
+    def test_alexander_look_alikes_z3(self):
+        x = tsrack_from_spec(_alexander(3, [1, 2, 0, 1]))
+        y = tsrack_from_spec(_alexander(3, [2, 1, 0, 1]))
+        assert tsrack_iso_check(x, y) is None
+        assert not alexander_iso_check(x, y)
+
+    @pytest.mark.parametrize("t2", [7, 6])
+    def test_s_zero_on_z11(self, t2):
+        x, y = make_linear(11, 2, 0), make_linear(11, t2, 0)
+        cert = tsrack_iso_check(x, y)
+        assert cert is not None
+        _assert_rack_isomorphism(x, y, cert.phi)
+
+    @pytest.mark.parametrize("p", REBASINGS)
+    def test_rebased_quotient(self, p):
+        x = make_quotient(3, [2, 0, 1])
+        y = tsrack_from_spec(_rebased_spec(x, p))
+        cert = tsrack_iso_check(x, y)
+        assert cert is not None
+        _assert_rack_isomorphism(x, y, cert.phi)
 
 
 class TestAlexanderIsoCheck:
