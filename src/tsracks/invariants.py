@@ -36,81 +36,125 @@ def rack_rank_of(rack):
 def enumerate_homs(diagram, rack):
     """All labelings of the diagram by the rack, as dicts arc -> element.
 
-    Backtracking over arc labels with forward propagation: once an
-    under-in arc and its over arc hold labels the outgoing arc is forced
-    (and symmetrically through the inverse operation), so the free choices
-    are roughly one arc per component.  Deterministic output order.
+    The one labeling kernel, for every kind of rack.  The diagram is
+    compiled once into a plan (see _compile) whose only choices are its
+    seed arcs; the plan runs on element indices through the rack's
+    operation columns (see _columns).  Deterministic output order.
     """
     order = diagram.arc_order()
-    crossings = diagram.crossings
-    touching = {a: [] for a in diagram.arcs}
-    for idx, c in enumerate(crossings):
-        for a in {c.over, c.under_in, c.under_out}:
-            touching[a].append(idx)
-    elements = list(rack.elements)
-    labels = {}
+    elements, tables = _columns(rack)
+    plan = _compile(diagram, order)
+    labels = [0] * len(order)
     results = []
 
-    def derive(c):
-        """Forced label (arc, value) from a crossing, or 'clash'/None."""
-        ov = labels.get(c.over)
-        ui = labels.get(c.under_in)
-        uo = labels.get(c.under_out)
-        if ov is None:
-            return None
-        if ui is not None:
-            want = rack.op(ui, ov) if c.sign > 0 else rack.op_inv(ui, ov)
-            if uo is None:
-                return (c.under_out, want)
-            return None if uo == want else "clash"
-        if uo is not None:
-            want = rack.op_inv(uo, ov) if c.sign > 0 else rack.op(uo, ov)
-            return (c.under_in, want)
-        return None
-
-    def propagate(seed_arcs):
-        queue = [idx for a in seed_arcs for idx in touching[a]]
-        assigned = []
-        while queue:
-            c = crossings[queue.pop()]
-            got = derive(c)
-            if got == "clash":
-                return assigned, False
-            if got is None:
-                continue
-            arc, value = got
-            labels[arc] = value
-            assigned.append(arc)
-            queue.extend(touching[arc])
-        return assigned, True
-
-    def search(pos):
-        while pos < len(order) and order[pos] in labels:
-            pos += 1
-        if pos == len(order):
-            results.append(dict(labels))
+    def run(stage):
+        if stage == len(plan):
+            results.append({a: elements[i] for a, i in zip(order, labels)})
             return
-        arc = order[pos]
-        for value in elements:
-            labels[arc] = value
-            assigned, ok = propagate([arc])
-            if ok:
-                search(pos + 1)
-            for a in assigned:
-                del labels[a]
-            del labels[arc]
+        seed, steps, checks = plan[stage]
+        for value in range(len(elements)):
+            labels[seed] = value
+            for kind, over, src, dst in steps:
+                labels[dst] = tables[kind][labels[over]][labels[src]]
+            for kind, over, src, dst in checks:
+                if tables[kind][labels[over]][labels[src]] != labels[dst]:
+                    break
+            else:
+                run(stage + 1)
 
-    search(0)
+    run(0)
     return results
 
 
-def enumerate_homs_linear(diagram, rack):
-    """Fast path for module racks: the crossing relations are linear in
-    the labels, so propagate coefficient matrices along the same traversal
-    and enumerate only the free arcs, filtering by the closure constraints.
+def _compile(diagram, order):
+    """The labeling plan of a diagram: a list of (seed, steps, checks),
+    arcs given by their position in ``order``.  A step or check
+    (kind, over, src, dst) reads dst = src > over, or src >^{-1} over
+    when kind is odd; kinds 2 and 3 mark a kink (over is src).  Once the
+    seed holds a label, each step forces a new label, forward from
+    under-in or back from under-out, and each check tests a crossing whose
+    three labels are known; every crossing is used exactly once.  Each
+    seed is the unlabelled arc whose label forces the most others, the
+    earliest in ``order`` on ties.
+    """
+    pos = {a: i for i, a in enumerate(order)}
+    crossings = [(c.sign, pos[c.over], pos[c.under_in], pos[c.under_out])
+                 for c in diagram.crossings]
+    touching = [[] for _ in order]
+    for k, (_, over, under_in, under_out) in enumerate(crossings):
+        for a in {over, under_in, under_out}:
+            touching[a].append(k)
 
-    Output agrees with enumerate_homs dict-for-dict; the generic
-    backtracking path stays the oracle.
+    def propagate(seed, known, used):
+        steps, checks = [], []
+        known.add(seed)
+        queue = list(touching[seed])
+        while queue:
+            k = queue.pop()
+            sign, over, under_in, under_out = crossings[k]
+            if k in used or over not in known:
+                continue
+            if under_in in known:
+                inverse, src, dst = sign < 0, under_in, under_out
+            elif under_out in known:
+                inverse, src, dst = sign > 0, under_out, under_in
+            else:
+                continue
+            used.add(k)
+            step = (inverse + 2 * (over == src), over, src, dst)
+            if dst in known:
+                checks.append(step)
+            else:
+                steps.append(step)
+                known.add(dst)
+                queue.extend(touching[dst])
+        return steps, checks
+
+    known, used, plan = set(), set(), []
+    while len(known) < len(order):
+        seed = max((a for a in range(len(order)) if a not in known),
+                   key=lambda a: len(propagate(a, set(known), set(used))[0]))
+        plan.append((seed, *propagate(seed, known, used)))
+    return plan
+
+
+def _columns(rack):
+    """(elements, tables) for the rack, kept on the rack.  tables[0][j] is
+    the column i -> index of elements[i] > elements[j] and tables[1][j]
+    the same for >^{-1}, each built on first use.  tables[2] and tables[3]
+    give every j the diagonal i -> index of elements[i] > elements[i] (and
+    >^{-1}), which is all a kink step reads."""
+    if not hasattr(rack, "_label_columns"):
+        elements = tuple(rack.elements)
+        index = {x: i for i, x in enumerate(elements)}
+        ops = (rack.op, rack.op_inv)
+        tables = [_Columns(op, elements, index) for op in ops]
+        tables += [[[index[op(x, x)] for x in elements]] * len(elements)
+                   for op in ops]
+        rack._label_columns = elements, tables
+    return rack._label_columns
+
+
+class _Columns(dict):
+    """Columns of one rack operation on element indices, built on demand."""
+
+    def __init__(self, op, elements, index):
+        super().__init__()
+        self.op, self.elements, self.index = op, elements, index
+
+    def __missing__(self, j):
+        y = self.elements[j]
+        column = self[j] = [self.index[self.op(x, y)] for x in self.elements]
+        return column
+
+
+def enumerate_homs_linear(diagram, rack):
+    """Independent linear-algebra cross-check of enumerate_homs for
+    module racks (acceptance criterion 7): the crossing relations are
+    linear in the labels, so propagate coefficient matrices along the
+    arc order, try every value of the free arcs and keep those that meet
+    the constraints of the remaining crossings.  Not a fast path: it filters |X|^free
+    candidates.  Same set of labelings as enumerate_homs.
     """
     if not isinstance(rack, TSRack):
         raise WrongStructureError("linear solving needs a module rack")
@@ -121,89 +165,43 @@ def enumerate_homs_linear(diagram, rack):
     s_mat = _map_matrix(rack, rack.s_map)
 
     order = diagram.arc_order()
-    crossings = list(diagram.crossings)
-    free_arcs = []
-    coeffs = {}
-    constraints = []
+    coeffs, constraints, pending = {}, [], list(diagram.crossings)
+    free = 0
 
-    def known(a):
-        return a in coeffs
+    def op(a, b, sign):
+        """Coefficients of a > b when sign > 0, else of a >^{-1} b."""
+        sb = _mmul(s_mat, coeffs[b], group)
+        if sign > 0:
+            return _madd(_mmul(t_mat, coeffs[a], group), sb, group)
+        return _mmul(t_inv_mat, _msub(coeffs[a], sb, group), group)
 
-    progress = True
-    pending = list(crossings)
-    pos = 0
-    while pending or pos < len(order):
-        if progress:
-            progress = False
-            still = []
-            for c in pending:
-                ov, ui, uo = c.over, c.under_in, c.under_out
-                if known(ov) and known(ui) and known(uo):
-                    if c.sign > 0:
-                        lhs = _madd(_mmul(t_mat, coeffs[ui], group),
-                                    _mmul(s_mat, coeffs[ov], group), group)
-                    else:
-                        lhs = _mmul(
-                            t_inv_mat,
-                            _msub(coeffs[ui],
-                                  _mmul(s_mat, coeffs[ov], group), group),
-                            group)
-                    constraints.append(_msub(lhs, coeffs[uo], group))
-                    progress = True
-                elif known(ov) and known(ui):
-                    if c.sign > 0:
-                        coeffs[uo] = _madd(
-                            _mmul(t_mat, coeffs[ui], group),
-                            _mmul(s_mat, coeffs[ov], group), group)
-                    else:
-                        coeffs[uo] = _mmul(
-                            t_inv_mat,
-                            _msub(coeffs[ui],
-                                  _mmul(s_mat, coeffs[ov], group), group),
-                            group)
-                    progress = True
-                elif known(ov) and known(uo):
-                    if c.sign > 0:
-                        coeffs[ui] = _mmul(
-                            t_inv_mat,
-                            _msub(coeffs[uo],
-                                  _mmul(s_mat, coeffs[ov], group), group),
-                            group)
-                    else:
-                        coeffs[ui] = _madd(
-                            _mmul(t_mat, coeffs[uo], group),
-                            _mmul(s_mat, coeffs[ov], group), group)
-                    progress = True
+    while pending or len(coeffs) < len(order):
+        still = []
+        for c in pending:
+            if c.over in coeffs and c.under_in in coeffs:
+                want = op(c.under_in, c.over, c.sign)
+                if c.under_out in coeffs:
+                    constraints.append(_msub(want, coeffs[c.under_out], group))
                 else:
-                    still.append(c)
-            pending = still
-            continue
-        # introduce the next free arc
-        while pos < len(order) and known(order[pos]):
-            pos += 1
-        if pos == len(order):
-            break
-        arc = order[pos]
-        j = len(free_arcs)
-        free_arcs.append(arc)
-        for a in coeffs:
-            coeffs[a] = [row + [0] * k for row in coeffs[a]]
-        block = [[0] * (k * j) + [1 if r == c else 0 for c in range(k)]
-                 for r in range(k)]
-        coeffs[arc] = block
-        progress = True
-
-    width = k * len(free_arcs)
-    for a in coeffs:
-        rows = coeffs[a]
-        coeffs[a] = [row + [0] * (width - len(row)) for row in rows]
-    constraints = [
-        [row + [0] * (width - len(row)) for row in mat] for mat in constraints
-    ]
+                    coeffs[c.under_out] = want
+            elif c.over in coeffs and c.under_out in coeffs:
+                coeffs[c.under_in] = op(c.under_out, c.over, -c.sign)
+            else:
+                still.append(c)
+        if len(still) == len(pending):
+            # nothing was forced: the next unknown arc in order is free;
+            # shorter rows read as zero-padded (_apply zips)
+            for a in coeffs:
+                coeffs[a] = [row + [0] * k for row in coeffs[a]]
+            arc = next(a for a in order if a not in coeffs)
+            coeffs[arc] = [[0] * (k * free) + [int(r == c) for c in range(k)]
+                           for r in range(k)]
+            free += 1
+        pending = still
 
     results = []
     carrier = set(rack.carrier)
-    for choice in product(rack.carrier, repeat=len(free_arcs)):
+    for choice in product(rack.carrier, repeat=free):
         xi = [v for vec in choice for v in vec]
         if any(_apply(mat, xi, group) != group.zero for mat in constraints):
             continue
@@ -216,18 +214,12 @@ def enumerate_homs_linear(diagram, rack):
 
 def _map_matrix(rack, mapping):
     """Matrix of an additive map from its values on the unit vectors."""
-    group = rack.group
-    k = group.rank
-    cols = []
-    for j in range(k):
-        e = tuple(1 if i == j else 0 for i in range(k))
-        if e in mapping:
-            cols.append(mapping[e])
-        else:
-            # carrier is a proper subgroup; fall back to any generators
-            raise WrongStructureError(
-                "linear path needs the full group as carrier")
-    return [[cols[j][i] for j in range(k)] for i in range(k)]
+    k = rack.group.rank
+    units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    if not all(e in mapping for e in units):
+        # a proper-subgroup carrier need not contain the unit vectors
+        raise WrongStructureError("linear path needs the full group as carrier")
+    return [[mapping[e][i] for e in units] for i in range(k)]
 
 
 def _mmul(m, a, group):
@@ -312,12 +304,10 @@ def writhe_enhanced(diagram, rack):
     of q_1^{w_1}...q_c^{w_c}."""
     period = rack_rank_of(rack)
     family = framed_family(diagram, period)
-    poly = InvariantPolynomial()
+    terms = Counter()
     for w, d in sorted(family.items()):
-        count = len(enumerate_homs(d, rack))
-        if count:
-            poly = poly + InvariantPolynomial.q_term(w, count)
-    return poly
+        terms[0, w] += len(enumerate_homs(d, rack))
+    return InvariantPolynomial(terms)
 
 
 def _require_module(rack):
@@ -353,20 +343,24 @@ def additive_enhanced(diagram, rack, use_linear_path=False):
     For racks on cyclic groups the subrack closure adds nothing (t and s
     act as integer multiples), so AC(Im f) is just the subgroup generated
     by the arc labels there.
+
+    The labelings come from enumerate_homs, or with use_linear_path from
+    the linear-algebra cross-check enumerate_homs_linear; both give the
+    same set.
     """
     _require_module(rack)
     period = rack.rack_rank()
     family = framed_family(diagram, period)
-    poly = InvariantPolynomial()
+    terms = Counter()
     multiset = EnhancedMultiset()
     solver = enumerate_homs_linear if use_linear_path else enumerate_homs
     for w, d in sorted(family.items()):
         for f in solver(d, rack):
             image = image_subrack(rack, set(f.values()))
             closure = subgroup_closure(rack.group, image)
-            poly = poly + InvariantPolynomial.u_term(len(closure))
+            terms[len(closure), ()] += 1
             multiset.add(tuple(invariant_factors(rack.group, closure)))
-    return poly, multiset
+    return InvariantPolynomial(terms), multiset
 
 
 def s_enhanced(diagram, rack, split_fibers=True):
@@ -390,7 +384,7 @@ def s_enhanced(diagram, rack, split_fibers=True):
     sub = s_submodule(rack)
     period = rack.rack_rank()
     family = framed_family(diagram, period)
-    poly = InvariantPolynomial()
+    terms = Counter()
     multiset = EnhancedMultiset()
     for w, d in sorted(family.items()):
         arcs = d.arc_order()
@@ -412,9 +406,9 @@ def s_enhanced(diagram, rack, split_fibers=True):
             else:
                 sizes = [len(lifts)]
             for size in sizes:
-                poly = poly + InvariantPolynomial.u_term(size)
+                terms[size, ()] += 1
                 multiset.add(size)
-    return poly, multiset
+    return InvariantPolynomial(terms), multiset
 
 
 def _component_buckets(diagram, arcs, lifts):

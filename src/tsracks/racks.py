@@ -243,12 +243,14 @@ def _element_profiles(rack, per):
     """Per-element invariants used to prune the isomorphism search;
     ``per`` holds the per-element ranks."""
     base = {x: per[x - 1] for x in rack.elements}
-    # refine once with the rank multiset of the row and column through x
+    # refine once with the size of the row image {x > y}, and the rank
+    # multisets of the row and column through x
     profiles = {}
     for x in rack.elements:
-        row = sorted(base[rack.op(x, y)] for y in rack.elements)
+        image = [rack.op(x, y) for y in rack.elements]
+        row = sorted(base[z] for z in image)
         col = sorted(base[rack.op(y, x)] for y in rack.elements)
-        profiles[x] = (base[x], tuple(row), tuple(col))
+        profiles[x] = (base[x], len(set(image)), tuple(row), tuple(col))
     return profiles
 
 
@@ -256,7 +258,8 @@ def find_isomorphism(x_rack, y_rack):
     """Backtracking search for a rack isomorphism, or None.
 
     Candidate targets are restricted by necessary profile invariants
-    (per-element rack rank, kink cycle type, row/column rank multisets);
+    (per-element rack rank, kink cycle type, row image size, row/column
+    rank multisets);
     the profiles prune but the search itself decides.  Deterministic:
     the same pair always yields the same witness.
     """

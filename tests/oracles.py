@@ -7,6 +7,9 @@ tsrack_validation_oracle checks the (t,s)-rack conditions on a carrier over
 all pairs of elements, for checking the TSRack constructor.
 module_iso_oracle lists module isomorphisms by trying every bijection, for
 checking tsracks.modules.all_module_isos.
+labeling_oracle lists the labelings of a diagram by any rack by trying every
+assignment of elements to arcs, for checking tsracks.invariants.enumerate_homs;
+it reads the rack only through its op and op_inv.
 
 Ring elements of Z_2[t]/(t^2+1) are bit pairs (c0, c1) = c0 + c1 t.  Rack
 elements are pairs (a, b) of ring elements standing for a + b s, with
@@ -181,4 +184,18 @@ def module_iso_oracle(source, target):
                 and all(h[add(x, y, m1)] == add(h[x], h[y], m2)
                         for x in c1 for y in c1)):
             out.append(h)
+    return out
+
+
+def labeling_oracle(diagram, rack):
+    """Every labeling of the diagram by the rack, as a set of sorted
+    (arc, element) tuples.  All |X|^arcs assignments are tried; one is kept
+    when at every crossing the outgoing under-arc carries (under-in > over),
+    or (under-in >^-1 over) at a negative crossing."""
+    out = set()
+    for values in product(rack.elements, repeat=len(diagram.arcs)):
+        f = dict(zip(diagram.arcs, values))
+        if all(f[c.under_out] == (rack.op if c.sign > 0 else rack.op_inv)(
+                f[c.under_in], f[c.over]) for c in diagram.crossings):
+            out.add(tuple(sorted(f.items())))
     return out

@@ -1,11 +1,20 @@
 """The brute-force oracles in oracles.py against the program."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from oracles import RACK, OP_INV, additive_oracle, format_u, op
-from tsracks.diagrams import parse_braid
-from tsracks.invariants import additive_enhanced
-from tsracks.modules import make_quotient
+from oracles import RACK, OP_INV, additive_oracle, format_u, labeling_oracle, op
+from tsracks.atlas import load_corpus
+from tsracks.diagrams import add_kink, framed_family, parse_braid, unknot_diagram
+from tsracks.invariants import additive_enhanced, enumerate_homs, rack_rank_of
+from tsracks.modules import enumerate_linear, make_linear, make_quotient, s_submodule
+from tsracks.racks import conjugation_rack, constant_action_rack
+
+TESTS = Path(__file__).resolve().parent
 
 
 def test_oracle_rack_axioms():
@@ -22,3 +31,64 @@ def test_additive_oracle_matches_program(word):
     poly, _ = additive_enhanced(parse_braid(2, word),
                                 make_quotient(2, [1, 0, 1]))
     assert str(poly) == format_u(additive_oracle(word))
+
+
+S3_TABLE = [[1, 2, 3, 4, 5, 6], [2, 1, 4, 3, 6, 5], [3, 5, 1, 6, 2, 4],
+            [4, 6, 2, 5, 1, 3], [5, 3, 6, 1, 4, 2], [6, 4, 5, 2, 3, 1]]
+
+
+def labeling_cases():
+    """(rack name, rack, diagram name, diagram) for the kernel-against-
+    oracle check.  The linear racks are those of enumerate_linear(n),
+    n <= 6, but the two of rack rank 4 on Z_5: the Hopf link framed
+    (3, 3) alone would cost the oracle 5^8 assignments with either."""
+    corpus = load_corpus()
+    trefoil = parse_braid(2, [1, 1, 1])
+    diagrams = {
+        "unknot": unknot_diagram(1), "unlink": unknot_diagram(2),
+        "trefoil": trefoil, "Hopf": parse_braid(2, [1, 1]),
+        "4_1": corpus["4_1"], "L2a1": corpus["L2a1"],
+        "braid 3: 1 -2 1 -2": parse_braid(3, [1, -2, 1, -2]),
+        "trefoil with a negative kink": add_kink(trefoil, 0, -1),
+    }
+    racks = {
+        "constant (2 3 1)": constant_action_rack([2, 3, 1]),
+        "constant (2 1 4 3)": constant_action_rack([2, 1, 4, 3]),
+        "conjugation S3": conjugation_rack(S3_TABLE),
+        "quotient(2, [1, 1])": make_quotient(2, [1, 1]),
+        "s_submodule(R4)": s_submodule(make_linear(4, 3, 2)),
+    }
+    for n in range(2, 7):
+        for t, s in enumerate_linear(n):
+            rack = make_linear(n, t, s)
+            if rack.rack_rank() < 4:
+                racks["linear(%d, %d, %d)" % (n, t, s)] = rack
+    return [(rn, rack, dn, d) for rn, rack in racks.items()
+            for dn, d in diagrams.items()]
+
+
+def labeling_mismatches():
+    """Every (rack, diagram, framing) where enumerate_homs and the oracle
+    disagree; no assert, so it also runs under python -O."""
+    bad = []
+    for rack_name, rack, name, diagram in labeling_cases():
+        for w, d in framed_family(diagram, rack_rank_of(rack)).items():
+            got = {tuple(sorted(f.items())) for f in enumerate_homs(d, rack)}
+            if got != labeling_oracle(d, rack):
+                bad.append((rack_name, name, w))
+    return bad
+
+
+def test_labeling_kernel_matches_oracle():
+    assert labeling_mismatches() == []
+
+
+def test_labeling_kernel_matches_oracle_under_optimize():
+    # the kernel's rules are code, not asserts, so python -O keeps them
+    code = "from test_oracles import labeling_mismatches\n" \
+           "print(labeling_mismatches())\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(TESTS.parent / "src"), str(TESTS)]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -248,6 +248,18 @@ class TestFindIsomorphism:
         assert find_isomorphism(a, b) is None
         assert find_isomorphism(b, a) is None
 
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_row_image_size_separates(self, order):
+        # equal profiles but for the row image sizes |{x > y : y}|, 2
+        # against 1; without them the search ran for seconds one way
+        pair = (make_linear(12, 7, 6).to_finite_rack(),
+                make_linear(12, 1, 0).to_finite_rack())
+        sizes = [{len({r.op(x, y) for y in r.elements}) for x in r.elements}
+                 for r in pair]
+        assert sizes == [{2}, {1}]
+        a, b = (pair[i] for i in order)
+        assert find_isomorphism(a, b) is None
+
 
 class TestTextFormat:
     def test_round_trip(self):
