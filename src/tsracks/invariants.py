@@ -320,18 +320,28 @@ def _require_module(rack):
 def image_subrack(rack, labels):
     """Smallest subset containing the labels and closed under > and >^{-1}:
     the image of the labeling as a homomorphism, not just its values on
-    the generators."""
-    out = set(labels)
+    the generators.
+
+    Each right translation x -> x > y is a rack automorphism, so the
+    translation by a > b is a conjugate of those by a and b: closing the
+    labels under the translations by the labels alone closes them under
+    the whole subrack, and in a finite rack under >^{-1} as well.  Runs
+    on element indices through the rack's operation columns (see
+    _columns).
+    """
+    elements, tables = _columns(rack)
+    index = tables[0].index
+    columns = [tables[0][index[y]] for y in labels]
+    out = {index[x] for x in labels}
     frontier = list(out)
     while frontier:
-        x = frontier.pop()
-        for y in list(out):
-            for z in (rack.op(x, y), rack.op(y, x),
-                      rack.op_inv(x, y), rack.op_inv(y, x)):
-                if z not in out:
-                    out.add(z)
-                    frontier.append(z)
-    return out
+        i = frontier.pop()
+        for column in columns:
+            k = column[i]
+            if k not in out:
+                out.add(k)
+                frontier.append(k)
+    return {elements[k] for k in out}
 
 
 def additive_enhanced(diagram, rack, use_linear_path=False):
@@ -344,6 +354,11 @@ def additive_enhanced(diagram, rack, use_linear_path=False):
     act as integer multiples), so AC(Im f) is just the subgroup generated
     by the arc labels there.
 
+    The weight depends only on the set of labels, so each distinct label
+    set over all framings is enhanced once, and each distinct image
+    subrack gets its closure and invariant factors once; both memos live
+    only for this call.
+
     The labelings come from enumerate_homs, or with use_linear_path from
     the linear-algebra cross-check enumerate_homs_linear; both give the
     same set.
@@ -351,15 +366,22 @@ def additive_enhanced(diagram, rack, use_linear_path=False):
     _require_module(rack)
     period = rack.rack_rank()
     family = framed_family(diagram, period)
+    solver = enumerate_homs_linear if use_linear_path else enumerate_homs
+    label_sets = Counter(frozenset(f.values())
+                         for _, d in sorted(family.items())
+                         for f in solver(d, rack))
     terms = Counter()
     multiset = EnhancedMultiset()
-    solver = enumerate_homs_linear if use_linear_path else enumerate_homs
-    for w, d in sorted(family.items()):
-        for f in solver(d, rack):
-            image = image_subrack(rack, set(f.values()))
+    weights = {}
+    for labels, count in label_sets.items():
+        image = frozenset(image_subrack(rack, labels))
+        if image not in weights:
             closure = subgroup_closure(rack.group, image)
-            terms[len(closure), ()] += 1
-            multiset.add(tuple(invariant_factors(rack.group, closure)))
+            weights[image] = (len(closure),
+                              tuple(invariant_factors(rack.group, closure)))
+        size, factors = weights[image]
+        terms[size, ()] += count
+        multiset.add(factors, count)
     return InvariantPolynomial(terms), multiset
 
 

@@ -259,9 +259,11 @@ def find_isomorphism(x_rack, y_rack):
 
     Candidate targets are restricted by necessary profile invariants
     (per-element rack rank, kink cycle type, row image size, row/column
-    rank multisets);
-    the profiles prune but the search itself decides.  Deterministic:
-    the same pair always yields the same witness.
+    rank multisets), and each choice x -> y forces f(a > x) = f(a) > y
+    and f(x > a) = y > f(a) for every mapped a, in turn; a forced element
+    is not chosen again.  The pruning only discards non-isomorphisms, and
+    the search itself decides.  Deterministic: the same pair always yields
+    the same witness, the first in candidate order.
     """
     if x_rack.n != y_rack.n:
         return None
@@ -280,35 +282,49 @@ def find_isomorphism(x_rack, y_rack):
     }
     order = sorted(x_rack.elements, key=lambda x: len(candidates[x]))
     n = x_rack.n
+    xop, yop = x_rack.op_matrix, y_rack.op_matrix
+    f, used = {}, set()
 
-    def extend(f, used, idx):
+    def assign(x, y, trail):
+        """Set f(x) = y and every image it forces through > with the
+        elements already mapped; False on a clash, a used target or a
+        profile mismatch.  Mapped elements go on ``trail``."""
+        queue = [(x, y)]
+        while queue:
+            x, y = queue.pop()
+            if x in f:
+                if f[x] != y:
+                    return False
+                continue
+            if y in used or py[y] != px[x]:
+                return False
+            f[x] = y
+            used.add(y)
+            trail.append(x)
+            i, j = x - 1, y - 1
+            for a, b in f.items():
+                queue += [(xop[a - 1][i], yop[b - 1][j]),
+                          (xop[i][a - 1], yop[j][b - 1])]
+        return True
+
+    def extend(idx):
+        while idx < n and order[idx] in f:
+            idx += 1
         if idx == n:
             return dict(f)
         x = order[idx]
         for y in candidates[x]:
-            if y in used:
-                continue
-            f[x] = y
-            used.add(y)
-            if _consistent(f, x, x_rack, y_rack):
-                result = extend(f, used, idx + 1)
+            trail = []
+            if assign(x, y, trail):
+                result = extend(idx + 1)
                 if result is not None:
                     return result
-            del f[x]
-            used.discard(y)
+            for a in trail:
+                used.discard(f.pop(a))
         return None
 
-    f = extend({}, set(), 0)
-    if f is not None and (len(set(f.values())) != n
-                          or not is_homomorphism(f, x_rack, y_rack)):
+    witness = extend(0)
+    if witness is not None and (len(set(witness.values())) != n or not
+                                is_homomorphism(witness, x_rack, y_rack)):
         raise ConsistencyError("isomorphism search returned a non-isomorphism")
-    return f
-
-
-def _consistent(f, x, x_rack, y_rack):
-    for a in list(f):
-        for u, v in ((a, x), (x, a)):
-            w = x_rack.op(u, v)
-            if w in f and y_rack.op(f[u], f[v]) != f[w]:
-                return False
-    return True
+    return witness

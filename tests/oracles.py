@@ -10,6 +10,9 @@ checking tsracks.modules.all_module_isos.
 labeling_oracle lists the labelings of a diagram by any rack by trying every
 assignment of elements to arcs, for checking tsracks.invariants.enumerate_homs;
 it reads the rack only through its op and op_inv.
+image_subrack_oracle closes a label set under > and >^-1 over all pairs,
+for checking tsracks.invariants.image_subrack; it too reads only op and
+op_inv.
 
 Ring elements of Z_2[t]/(t^2+1) are bit pairs (c0, c1) = c0 + c1 t.  Rack
 elements are pairs (a, b) of ring elements standing for a + b s, with
@@ -199,3 +202,16 @@ def labeling_oracle(diagram, rack):
                 f[c.under_in], f[c.over]) for c in diagram.crossings):
             out.add(tuple(sorted(f.items())))
     return out
+
+
+def image_subrack_oracle(rack, labels):
+    """The smallest set holding the labels and closed under > and >^-1:
+    apply both operations to every ordered pair until nothing new
+    appears."""
+    out = set(labels)
+    while True:
+        new = {z for x in out for y in out
+               for z in (rack.op(x, y), rack.op_inv(x, y))} - out
+        if not new:
+            return out
+        out |= new

@@ -1,4 +1,8 @@
+from collections import Counter
+
 import pytest
+
+import tsracks.invariants as invariants
 
 from tsracks.atlas import load_corpus
 from tsracks.diagrams import framed_family, parse_braid, parse_link, parse_pd, unknot_diagram
@@ -159,6 +163,31 @@ class TestAdditiveEnhanced:
         for factors in multiset.entries():
             rebuilt = rebuilt + InvariantPolynomial.u_term(prod(factors))
         assert rebuilt == poly
+
+    def test_each_label_set_and_image_enhanced_once(self, monkeypatch):
+        # T(2,4) by Q16: 1024 labelings carry 174 distinct label sets,
+        # which generate 21 distinct image subracks
+        calls, labelings = Counter(), []
+        for name in ("image_subrack", "subgroup_closure",
+                     "invariant_factors"):
+            def counted(*args, _fn=getattr(invariants, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(invariants, name, counted)
+
+        def homs(*args, _fn=invariants.enumerate_homs):
+            found = _fn(*args)
+            labelings.append(len(found))
+            return found
+        monkeypatch.setattr(invariants, "enumerate_homs", homs)
+        poly, multiset = additive_enhanced(load_corpus()["L4a1"],
+                                           make_quotient(2, [1, 0, 1]))
+        assert dict(calls) == {"image_subrack": 174,
+                               "subgroup_closure": 21,
+                               "invariant_factors": 21}
+        assert sum(labelings) == multiset.total() == 1024
+        # the criterion-2 value from the brute-force oracle
+        assert str(poly) == "16u + 80u^2 + 320u^4 + 192u^8 + 416u^16"
 
     def test_linear_path_agrees(self):
         for diagram in (TREFOIL, parse_braid(2, [1] * 4)):

@@ -404,9 +404,8 @@ class TestTSRackIsoCheck:
              for t, s in enumerate_linear(n) if s == 0])
 
     def test_agrees_with_brute_force_small(self):
-        # every equal-order pair up to n = 12; n = 13 alone would take
-        # about 10 s
-        for n in range(2, 13):
+        # every equal-order pair up to n = 16, about 1 s in all
+        for n in range(2, 17):
             racks = [make_linear(n, t, s) for t, s in enumerate_linear(n)]
             if n == 4:
                 racks.append(make_quotient(2, [1, 1]))

@@ -1,16 +1,19 @@
 """The brute-force oracles in oracles.py against the program."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from oracles import RACK, OP_INV, additive_oracle, format_u, labeling_oracle, op
+from oracles import (RACK, OP_INV, additive_oracle, format_u,
+                     image_subrack_oracle, labeling_oracle, op)
 from tsracks.atlas import load_corpus
 from tsracks.diagrams import add_kink, framed_family, parse_braid, unknot_diagram
-from tsracks.invariants import additive_enhanced, enumerate_homs, rack_rank_of
+from tsracks.invariants import (additive_enhanced, enumerate_homs,
+                                image_subrack, rack_rank_of)
 from tsracks.modules import enumerate_linear, make_linear, make_quotient, s_submodule
 from tsracks.racks import conjugation_rack, constant_action_rack
 
@@ -83,12 +86,50 @@ def test_labeling_kernel_matches_oracle():
     assert labeling_mismatches() == []
 
 
-def test_labeling_kernel_matches_oracle_under_optimize():
-    # the kernel's rules are code, not asserts, so python -O keeps them
-    code = "from test_oracles import labeling_mismatches\n" \
-           "print(labeling_mismatches())\n"
+def mismatches_under_optimize(name):
+    """What the mismatch finder ``name`` of this file returns when run by
+    python -O in a fresh interpreter, as printed text."""
+    code = "from test_oracles import %s\nprint(%s())\n" % (name, name)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(TESTS.parent / "src"), str(TESTS)]))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_labeling_kernel_matches_oracle_under_optimize():
+    # the kernel's rules are code, not asserts, so python -O keeps them
+    assert mismatches_under_optimize("labeling_mismatches") == "[]"
+
+
+def image_subrack_mismatches():
+    """Every (rack, label set) where image_subrack and the oracle
+    disagree, over seeded random label sets; no assert, so it also runs
+    under python -O."""
+    racks = {
+        "Q16": make_quotient(2, [1, 0, 1]),
+        "quotient(2, [1, 1])": make_quotient(2, [1, 1]),
+        "s_submodule(R4)": s_submodule(make_linear(4, 3, 2)),
+        "conjugation S3": conjugation_rack(S3_TABLE),
+        "constant (2 3 1 5 4)": constant_action_rack([2, 3, 1, 5, 4]),
+    }
+    for n in range(2, 9):
+        for t, s in enumerate_linear(n):
+            racks["linear(%d, %d, %d)" % (n, t, s)] = make_linear(n, t, s)
+    rng = random.Random(2010)
+    bad = []
+    for name, rack in racks.items():
+        elements = list(rack.elements)
+        for _ in range(12):
+            labels = rng.sample(elements, rng.randint(1, min(4, len(elements))))
+            if image_subrack(rack, labels) != image_subrack_oracle(rack, labels):
+                bad.append((name, labels))
+    return bad
+
+
+def test_image_subrack_matches_oracle():
+    assert image_subrack_mismatches() == []
+
+
+def test_image_subrack_matches_oracle_under_optimize():
+    assert mismatches_under_optimize("image_subrack_mismatches") == "[]"
