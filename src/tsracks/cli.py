@@ -281,25 +281,16 @@ def cmd_table(args):
     source = _RackSource(args.rack)
     with open(args.links) as fh:
         lines = [ln.strip() for ln in fh]
-    jobs = []
+    groups = {}
+    failures = []
     for ln in lines:
         if not ln or ln.startswith("#"):
             continue
         name, _, spec = ln.partition(" ")
-        jobs.append((name, spec.strip()))
-
-    def run(job):
-        name, spec = job
         try:
-            return name, _cached_record(args, source, spec, args.kind), None
+            record = _cached_record(args, source, spec.strip(), args.kind)
         except ToolkitError as exc:
-            return name, None, str(exc)
-
-    groups = {}
-    failures = []
-    for name, record, error in map(run, jobs):
-        if error is not None:
-            failures.append((name, error))
+            failures.append((name, str(exc)))
             continue
         value = record.get("polynomial_text")
         if value is None:

@@ -8,6 +8,7 @@ desk-scale groups (order up to a few thousand).
 
 from itertools import product
 from math import gcd, prod
+from operator import add, mod, sub
 
 from .errors import ConsistencyError, MalformedElementError, NotASubgroupError
 
@@ -50,10 +51,10 @@ class AbelianGroup:
         return tuple(x)
 
     def add(self, x, y):
-        return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
+        return tuple(map(mod, map(add, x, y), self.moduli))
 
     def sub(self, x, y):
-        return tuple((a - b) % m for a, b, m in zip(x, y, self.moduli))
+        return tuple(map(mod, map(sub, x, y), self.moduli))
 
     def element_order(self, x):
         """Additive order: lcm over components of m_i / gcd(x_i, m_i)."""

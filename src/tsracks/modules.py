@@ -23,7 +23,7 @@ ConsistencyError.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from math import gcd, lcm
 
 from .errors import (
@@ -64,10 +64,16 @@ class TSRack:
         cset = set(self.carrier)
         if g.zero not in cset:
             raise ValidationError("carrier must contain 0")
-        # every element is a sum of generators, so closure under + and
-        # additivity need checking only against the generators
-        gens = _generating_sequence(self)
-        if any(g.add(x, e) not in cset for x in self.carrier for e in gens):
+        # The span of the generating sequence holds every carrier element
+        # reduced, so the carrier is closed under + iff it holds the span.
+        # A map m with m(0) = 0 is additive iff m(y + e) = m(y) + m(e) on
+        # the edges that grew the span.  Each new element is reached from
+        # y in the earlier span W along y, y + e, ..., y + ce with c < r,
+        # r the order of e modulo W, so m(y + ce) = m(y) + c m(e); the
+        # closing edge ((r-1)e, e, re) gives m(re) = r m(e), so that
+        # extension of m from W is well defined and additive.
+        _, span, edges = _generating_sequence(self)
+        if not span.keys() <= cset:
             raise ValidationError("carrier is not closed under +")
         for m, name in ((self.t_map, "t"), (self.s_map, "s")):
             if set(m) != cset or any(v not in cset for v in m.values()):
@@ -75,8 +81,7 @@ class TSRack:
                                       % name)
             if m[g.zero] != g.zero:
                 raise ValidationError("%s-action must fix 0" % name)
-            if any(m[g.add(x, e)] != g.add(m[x], m[e])
-                   for x in self.carrier for e in gens):
+            if any(m[z] != g.add(m[y], m[e]) for y, e, z in edges):
                 raise ValidationError("%s-action is not additive" % name)
         if len(set(self.t_map.values())) != len(self.carrier):
             raise NotInvertibleError("t-action is not bijective")
@@ -145,6 +150,8 @@ class TSRack:
 
 
 def _matrix_map(group, matrix, carrier):
+    """x -> matrix * x on carrier, the elements of group in lexicographic
+    order."""
     matrix = [list(map(int, row)) for row in matrix]
     k = group.rank
     if len(matrix) != k or any(len(row) != k for row in matrix):
@@ -157,13 +164,17 @@ def _matrix_map(group, matrix, carrier):
                     "matrix entry (%d,%d)=%d is not a well-defined map "
                     "Z_%d -> Z_%d" % (i, j, matrix[i][j],
                                       group.moduli[j], group.moduli[i]))
-    out = {}
-    for x in carrier:
-        out[x] = tuple(
-            sum(matrix[i][j] * x[j] for j in range(k)) % group.moduli[i]
-            for i in range(k)
-        )
-    return out
+    # The next element in lexicographic order adds e_j and takes every
+    # later coordinate i from m_i - 1 to 0, that is, adds e_i too; so its
+    # image adds the image of e_j + ... + e_{k-1}.
+    steps = [group.zero]
+    for j in reversed(range(k)):
+        steps.append(group.add(steps[-1], tuple(
+            row[j] % m for row, m in zip(matrix, group.moduli))))
+    incs = []
+    for j, step in zip(reversed(range(k)), steps[1:]):
+        incs += ([step] + incs) * (group.moduli[j] - 1)
+    return dict(zip(carrier, accumulate(incs, group.add, initial=group.zero)))
 
 
 def make_module(moduli, t_matrix, s_matrix, spec=None):
@@ -174,7 +185,7 @@ def make_module(moduli, t_matrix, s_matrix, spec=None):
     carrier = group.elements()
     t_map = _matrix_map(group, t_matrix, carrier)
     s_map = _matrix_map(group, s_matrix, carrier)
-    return TSRack(group, t_map, s_map, spec=spec)
+    return TSRack(group, t_map, s_map, carrier=carrier, spec=spec)
 
 
 def make_linear(n, t, s):
@@ -257,21 +268,34 @@ def _generating_sequence(rack, maps=()):
     """Greedy generating sequence for the carrier: each element not yet in
     the span of the earlier generators becomes one.  The span is closed
     under + and under each of ``maps``, so maps=(t_map,) generates over
-    Z[t].  With no maps it also runs on unvalidated carriers."""
+    Z[t].  With no maps it also runs on unvalidated carriers.
+
+    Returns (gens, span, edges).  The edges are the triples (y, e, y + e)
+    with e a generator: one for each element that + e added to the span,
+    and one closing edge ((r-1)e, e, re) per generator, re the first
+    multiple of e back in the span of the earlier generators."""
     add = rack.group.add
-    gens = []
-    span = {rack.group.zero}
+    gens, edges = [], []
+    span = {rack.group.zero: 0}  # element -> the order it joined in
     for x in rack.carrier:
         if x not in span:
             gens.append(x)
+            earlier = len(span)
             frontier = list(span)
             while frontier:
                 y = frontier.pop()
-                for z in [add(y, x)] + [m[y] for m in maps]:
+                z = add(y, x)
+                if z not in span:
+                    edges.append((y, x, z))
+                for z in [z] + [m[y] for m in maps]:
                     if z not in span:
-                        span.add(z)
+                        span[z] = len(span)
                         frontier.append(z)
-    return gens
+            y = rack.group.zero
+            while span[z := add(y, x)] >= earlier:
+                y = z
+            edges.append((y, x, z))
+    return gens, span, edges
 
 
 def _extend(m_from, m_to, gens, images):
@@ -306,7 +330,7 @@ def all_module_isos(m_from, m_to):
     """
     if len(m_from.carrier) != len(m_to.carrier):
         return
-    gens = _generating_sequence(m_from, (m_from.t_map,))
+    gens, _, _ = _generating_sequence(m_from, (m_from.t_map,))
     pools = [[y for y in m_to.carrier
               if m_to.group.element_order(y)
               == m_from.group.element_order(gen)] for gen in gens]

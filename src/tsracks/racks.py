@@ -242,16 +242,13 @@ def is_homomorphism(f, source, target):
 def _element_profiles(rack, per):
     """Per-element invariants used to prune the isomorphism search;
     ``per`` holds the per-element ranks."""
-    base = {x: per[x - 1] for x in rack.elements}
     # refine once with the size of the row image {x > y}, and the rank
     # multisets of the row and column through x
-    profiles = {}
-    for x in rack.elements:
-        image = [rack.op(x, y) for y in rack.elements]
-        row = sorted(base[z] for z in image)
-        col = sorted(base[rack.op(y, x)] for y in rack.elements)
-        profiles[x] = (base[x], len(set(image)), tuple(row), tuple(col))
-    return profiles
+    rows = rack.op_matrix
+    return {x: (per[x - 1], len(set(row)),
+                tuple(sorted(per[z - 1] for z in row)),
+                tuple(sorted(per[z - 1] for z in col)))
+            for x, row, col in zip(rack.elements, rows, zip(*rows))}
 
 
 def find_isomorphism(x_rack, y_rack):

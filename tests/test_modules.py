@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from oracles import module_iso_oracle
@@ -151,6 +153,7 @@ class TestMakeQuotient:
     @pytest.mark.parametrize("n, coeffs", [
         (2, [1, 1]), (2, [1, 0, 1]), (2, [1, 1, 1]), (3, [1, 1]),
         (5, [2, 1]), (3, [2, 0, 1]), (2, [1, 0, 0, 1, 1]),
+        (2, [1, 0, 0, 0, 0, 1]),
     ])
     def test_maps_match_ring_definition(self, n, coeffs):
         # element by element: x = (a, b) stands for a + b s, with
@@ -199,6 +202,24 @@ class TestMakeModule:
         with pytest.raises(ValidationError):
             # entry maps Z_2 -> Z_4 by 1, not well-defined
             make_module((4, 2), [[1, 1], [0, 1]], [[0, 0], [0, 0]])
+
+    @pytest.mark.parametrize("moduli, t, s", [
+        ((2, 4), [[1, 1], [2, 3]], [[0, 1], [2, 2]]),
+        ((3, 9), [[2, 1], [3, 4]], [[2, 8], [6, 6]]),
+        ((2, 2, 2), [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+         [[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+        ((32, 32), [[0, 31], [1, 0]], [[1, 1], [31, 1]]),
+    ], ids=["Z2+Z4", "Z3+Z9", "Z2^3", "Z32^2"])
+    def test_maps_match_matrix_product(self, moduli, t, s):
+        # every element in lexicographic order, x -> A x mod the moduli
+        def product_map(a):
+            return [(x, tuple(sum(aij * xj for aij, xj in zip(row, x)) % m
+                              for row, m in zip(a, moduli)))
+                    for x in product(*(range(m) for m in moduli))]
+
+        rack = make_module(moduli, t, s)
+        assert list(rack.t_map.items()) == product_map(t)
+        assert list(rack.s_map.items()) == product_map(s)
 
 
 class TestEnumerateLinear:

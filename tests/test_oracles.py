@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from oracles import (RACK, OP_INV, additive_oracle, format_u,
-                     image_subrack_oracle, labeling_oracle, op)
+                     image_subrack_oracle, labeling_oracle, op,
+                     tsrack_validation_oracle)
+from test_tsrack_validation import GROUPS, _cases, _constructor_outcome
 from tsracks.atlas import load_corpus
 from tsracks.diagrams import add_kink, framed_family, parse_braid, unknot_diagram
 from tsracks.invariants import (additive_enhanced, enumerate_homs,
@@ -133,3 +135,17 @@ def test_image_subrack_matches_oracle():
 
 def test_image_subrack_matches_oracle_under_optimize():
     assert mismatches_under_optimize("image_subrack_mismatches") == "[]"
+
+
+def validation_mismatches():
+    """Every seeded case of test_tsrack_validation.py where the TSRack
+    constructor and the all-pairs oracle disagree; no assert, so it also
+    runs under python -O."""
+    return [(moduli, case) for moduli in GROUPS for case in _cases(moduli)
+            if _constructor_outcome(moduli, *case)
+            != tsrack_validation_oracle(moduli, *case)]
+
+
+def test_validation_matches_oracle_under_optimize():
+    # the constructor's checks raise ToolkitErrors, not asserts
+    assert mismatches_under_optimize("validation_mismatches") == "[]"

@@ -7,6 +7,7 @@ message.
 """
 
 from collections import Counter
+from functools import cache
 from itertools import product
 from random import Random
 
@@ -17,7 +18,7 @@ from tsracks.errors import ToolkitError
 from tsracks.groups import AbelianGroup
 from tsracks.modules import TSRack
 
-GROUPS = [(4,), (6,), (2, 2), (2, 4)]
+GROUPS = [(4,), (6,), (2, 2), (2, 4), (2, 2, 2), (3, 3)]
 CASES_PER_GROUP = 600
 
 
@@ -29,12 +30,14 @@ def _add(moduli, x, y):
     return tuple((a + b) % m for a, b, m in zip(x, y, moduli))
 
 
+@cache
 def _subgroups(moduli):
-    """Every subgroup, as the span of at most two elements (enough for
-    groups of rank at most 2)."""
+    """Every subgroup, as the span of as many elements as the group has
+    cyclic factors: a subgroup of Z_m1 + ... + Z_mk needs at most k
+    generators."""
     zero = (0,) * len(moduli)
     out = set()
-    for gens in product(_elements(moduli), repeat=2):
+    for gens in product(_elements(moduli), repeat=len(moduli)):
         span, frontier = {zero}, [zero]
         while frontier:
             x = frontier.pop()
@@ -47,6 +50,7 @@ def _subgroups(moduli):
     return sorted(out)
 
 
+@cache
 def _matrices(moduli):
     """Integer matrices whose entry (i, j) is a well-defined map
     Z_mj -> Z_mi."""
