@@ -1,23 +1,26 @@
-"""Labeling enumeration and the link invariants built from it.
+"""The link invariants built from labelings.
 
-A labeling of a framed diagram by a rack X assigns an element of X to
-every arc so that at each positive crossing the outgoing under-arc carries
-(under-in > over), and at each negative crossing (under-in >^{-1} over).
 Labelings correspond to rack homomorphisms from the fundamental rack of
-the framed diagram into X.
-
-The counting invariant sums labeling counts over a full period of
-framings (Z_N)^c, N the rack rank of X.  The enhancements refine the
-count: by the framing vector (writhe-enhanced), by the additive closure
-of the labels (additive enhancement, needs the module structure), or by
-the projected labeling under multiplication by s (s-enhancement).
+the framed diagram into the rack X; they come from the labeling kernel
+(see labelings.framed_labelings), which finds those of all framings in
+one search.  The counting invariant sums labeling counts over a full
+period of framings (Z_N)^c, N the rack rank of X.  The enhancements
+refine the count: by the framing vector (writhe-enhanced), by the
+additive closure of the labels (additive enhancement, needs the module
+structure), or by the projected labeling under multiplication by s
+(s-enhancement).
 """
 
 from collections import Counter
 from itertools import product
+from math import prod
 
 from .errors import ConsistencyError, WrongStructureError
 from .groups import invariant_factors, subgroup_closure
+# enumerate_homs is named here too, where callers and the benchmark's
+# tracer find it
+from .labelings import (enumerate_homs, framed_labelings, holds,
+                        operation_columns)
 from .modules import TSRack, s_submodule
 from .polynomials import InvariantPolynomial
 from .racks import rack_rank
@@ -30,122 +33,7 @@ def rack_rank_of(rack):
     return rack_rank(rack)[0]
 
 
-# -- labeling enumeration --------------------------------------------------
-
-
-def enumerate_homs(diagram, rack):
-    """All labelings of the diagram by the rack, as dicts arc -> element.
-
-    The one labeling kernel, for every kind of rack.  The diagram is
-    compiled once into a plan (see _compile) whose only choices are its
-    seed arcs; the plan runs on element indices through the rack's
-    operation columns (see _columns).  Deterministic output order.
-    """
-    order = diagram.arc_order()
-    elements, tables = _columns(rack)
-    plan = _compile(diagram, order)
-    labels = [0] * len(order)
-    results = []
-
-    def run(stage):
-        if stage == len(plan):
-            results.append({a: elements[i] for a, i in zip(order, labels)})
-            return
-        seed, steps, checks = plan[stage]
-        for value in range(len(elements)):
-            labels[seed] = value
-            for kind, over, src, dst in steps:
-                labels[dst] = tables[kind][labels[over]][labels[src]]
-            for kind, over, src, dst in checks:
-                if tables[kind][labels[over]][labels[src]] != labels[dst]:
-                    break
-            else:
-                run(stage + 1)
-
-    run(0)
-    return results
-
-
-def _compile(diagram, order):
-    """The labeling plan of a diagram: a list of (seed, steps, checks),
-    arcs given by their position in ``order``.  A step or check
-    (kind, over, src, dst) reads dst = src > over, or src >^{-1} over
-    when kind is odd; kinds 2 and 3 mark a kink (over is src).  Once the
-    seed holds a label, each step forces a new label, forward from
-    under-in or back from under-out, and each check tests a crossing whose
-    three labels are known; every crossing is used exactly once.  Each
-    seed is the unlabelled arc whose label forces the most others, the
-    earliest in ``order`` on ties.
-    """
-    pos = {a: i for i, a in enumerate(order)}
-    crossings = [(c.sign, pos[c.over], pos[c.under_in], pos[c.under_out])
-                 for c in diagram.crossings]
-    touching = [[] for _ in order]
-    for k, (_, over, under_in, under_out) in enumerate(crossings):
-        for a in {over, under_in, under_out}:
-            touching[a].append(k)
-
-    def propagate(seed, known, used):
-        steps, checks = [], []
-        known.add(seed)
-        queue = list(touching[seed])
-        while queue:
-            k = queue.pop()
-            sign, over, under_in, under_out = crossings[k]
-            if k in used or over not in known:
-                continue
-            if under_in in known:
-                inverse, src, dst = sign < 0, under_in, under_out
-            elif under_out in known:
-                inverse, src, dst = sign > 0, under_out, under_in
-            else:
-                continue
-            used.add(k)
-            step = (inverse + 2 * (over == src), over, src, dst)
-            if dst in known:
-                checks.append(step)
-            else:
-                steps.append(step)
-                known.add(dst)
-                queue.extend(touching[dst])
-        return steps, checks
-
-    known, used, plan = set(), set(), []
-    while len(known) < len(order):
-        seed = max((a for a in range(len(order)) if a not in known),
-                   key=lambda a: len(propagate(a, set(known), set(used))[0]))
-        plan.append((seed, *propagate(seed, known, used)))
-    return plan
-
-
-def _columns(rack):
-    """(elements, tables) for the rack, kept on the rack.  tables[0][j] is
-    the column i -> index of elements[i] > elements[j] and tables[1][j]
-    the same for >^{-1}, each built on first use.  tables[2] and tables[3]
-    give every j the diagonal i -> index of elements[i] > elements[i] (and
-    >^{-1}), which is all a kink step reads."""
-    if not hasattr(rack, "_label_columns"):
-        elements = tuple(rack.elements)
-        index = {x: i for i, x in enumerate(elements)}
-        ops = (rack.op, rack.op_inv)
-        tables = [_Columns(op, elements, index) for op in ops]
-        tables += [[[index[op(x, x)] for x in elements]] * len(elements)
-                   for op in ops]
-        rack._label_columns = elements, tables
-    return rack._label_columns
-
-
-class _Columns(dict):
-    """Columns of one rack operation on element indices, built on demand."""
-
-    def __init__(self, op, elements, index):
-        super().__init__()
-        self.op, self.elements, self.index = op, elements, index
-
-    def __missing__(self, j):
-        y = self.elements[j]
-        column = self[j] = [self.index[self.op(x, y)] for x in self.elements]
-        return column
+# -- linear-algebra cross-check ---------------------------------------------
 
 
 def enumerate_homs_linear(diagram, rack):
@@ -294,19 +182,21 @@ class EnhancedMultiset:
 
 def counting_invariant(diagram, rack):
     """Total labelings over a complete period of framings (Z_N)^c."""
-    period = rack_rank_of(rack)
-    family = framed_family(diagram, period)
-    return sum(len(enumerate_homs(d, rack)) for d in family.values())
+    _, found = framed_labelings(diagram, rack, rack_rank_of(rack))
+    return sum(prod(map(len, ks)) for _, ks in found)
 
 
 def writhe_enhanced(diagram, rack):
     """Labeling counts kept separate per framing vector, as coefficients
-    of q_1^{w_1}...q_c^{w_c}."""
+    of q_1^{w_1}...q_c^{w_c}; the framing with k_i kinks on component i
+    is w_i = (k_i + writhe_i) mod N."""
     period = rack_rank_of(rack)
-    family = framed_family(diagram, period)
+    _, found = framed_labelings(diagram, rack, period)
+    base = diagram.writhe_vector()
     terms = Counter()
-    for w, d in sorted(family.items()):
-        terms[0, w] += len(enumerate_homs(d, rack))
+    for ks, count in Counter(ks for _, ks in found).items():
+        for k in product(*ks):
+            terms[0, tuple((a + b) % period for a, b in zip(k, base))] += count
     return InvariantPolynomial(terms)
 
 
@@ -327,9 +217,9 @@ def image_subrack(rack, labels):
     labels under the translations by the labels alone closes them under
     the whole subrack, and in a finite rack under >^{-1} as well.  Runs
     on element indices through the rack's operation columns (see
-    _columns).
+    labelings.operation_columns).
     """
-    elements, tables = _columns(rack)
+    elements, tables = operation_columns(rack)
     index = tables[0].index
     columns = [tables[0][index[y]] for y in labels]
     out = {index[x] for x in labels}
@@ -359,17 +249,24 @@ def additive_enhanced(diagram, rack, use_linear_path=False):
     subrack gets its closure and invariant factors once; both memos live
     only for this call.
 
-    The labelings come from enumerate_homs, or with use_linear_path from
-    the linear-algebra cross-check enumerate_homs_linear; both give the
-    same set.
+    Label sets are taken on the cut-open diagram: the kink chain
+    pi^j(in), 0 < j < k, lies in the image of {in}.  use_linear_path
+    labels the framed diagrams by enumerate_homs_linear instead.
     """
     _require_module(rack)
     period = rack.rack_rank()
-    family = framed_family(diagram, period)
-    solver = enumerate_homs_linear if use_linear_path else enumerate_homs
-    label_sets = Counter(frozenset(f.values())
-                         for _, d in sorted(family.items())
-                         for f in solver(d, rack))
+    if use_linear_path:
+        label_sets = Counter(
+            frozenset(f.values())
+            for d in framed_family(diagram, period).values()
+            for f in enumerate_homs_linear(d, rack))
+    else:
+        elements = operation_columns(rack)[0]
+        by_index = Counter()
+        for labels, ks in framed_labelings(diagram, rack, period)[1]:
+            by_index[frozenset(labels)] += prod(map(len, ks))
+        label_sets = {frozenset(elements[i] for i in labels): count
+                      for labels, count in by_index.items()}
     terms = Counter()
     multiset = EnhancedMultiset()
     weights = {}
@@ -389,9 +286,10 @@ def s_enhanced(diagram, rack, split_fibers=True):
     """s-enhancement: group labelings by their projection to the
     subquandle sX (multiply every label by s) and record fiber sizes.
 
-    Projections of valid labelings are valid sX-labelings; sX-labelings
-    with empty fiber are not counted (they would add spurious constant
-    terms the fiber structure does not contain).
+    Projections of valid labelings are valid sX-labelings, and each is
+    checked against the crossings and cuts; sX-labelings with empty fiber
+    are not counted (they would add spurious constant terms the fiber
+    structure does not contain).
 
     With split_fibers=True (the default, and the reading that reproduces
     the reference value tables) each fiber is further broken up along
@@ -399,51 +297,48 @@ def s_enhanced(diagram, rack, split_fibers=True):
     which they differ from the least lift, the least lift itself counting
     toward the last component's bucket, and each bucket contributes its
     own u^size term.  For knots this coincides with the plain fiber count.
+    A fiber is a coset of the labelings with labels in ker s, so the
+    bucket sizes do not depend on which lift is least.
     With split_fibers=False every fiber contributes a single term
     u^{|fiber|}.
     """
     _require_module(rack)
-    sub = s_submodule(rack)
-    period = rack.rack_rank()
-    family = framed_family(diagram, period)
-    terms = Counter()
-    multiset = EnhancedMultiset()
-    for w, d in sorted(family.items()):
-        arcs = d.arc_order()
-        fibers = {}
-        for f in enumerate_homs(d, rack):
-            projected = tuple(rack.s_map[f[a]] for a in arcs)
-            fibers.setdefault(projected, []).append(
-                tuple(f[a] for a in arcs))
-        sub_labelings = {
-            tuple(g[a] for a in arcs) for g in enumerate_homs(d, sub)
-        }
-        if not set(fibers) <= sub_labelings:
+    (comps, crossings, cuts), found = framed_labelings(diagram, rack,
+                                                 rack.rack_rank())
+    elements, tables = operation_columns(rack)
+    s_of = [tables[0].index[rack.s_map[x]] for x in elements]
+    fibers = {}
+    for labels, ks in found:
+        projected = tuple([s_of[i] for i in labels])
+        for k in product(*ks):
+            fibers.setdefault((k, projected), []).append(labels)
+    sub_tables = operation_columns(s_submodule(rack))[1]
+    for k, projected in fibers:
+        g = [sub_tables[0].index.get(elements[i]) for i in projected]
+        if not holds(sub_tables, g, k, crossings, cuts):
             raise ConsistencyError(
                 "an s-projected labeling is not an sX-labeling")
-        for g in sorted(fibers):
-            lifts = sorted(fibers[g])
-            if split_fibers:
-                sizes = _component_buckets(d, arcs, lifts)
-            else:
-                sizes = [len(lifts)]
-            for size in sizes:
-                terms[size, ()] += 1
-                multiset.add(size)
+    terms = Counter()
+    multiset = EnhancedMultiset()
+    for lifts in fibers.values():
+        for size in (_component_buckets(comps, lifts) if split_fibers
+                     else [len(lifts)]):
+            terms[size, ()] += 1
+            multiset.add(size)
     return InvariantPolynomial(terms), multiset
 
 
-def _component_buckets(diagram, arcs, lifts):
+def _component_buckets(comps, lifts):
     """Split a fiber by the last component where a lift leaves the least
-    lift; the least lift itself lands in the final component's bucket."""
-    comp = diagram.component_of
-    base = lifts[0]
-    buckets = Counter()
-    for lift in lifts[1:]:
-        last = max(comp[a] for a, x, y in zip(arcs, lift, base) if x != y)
-        buckets[last] += 1
-    buckets[diagram.component_count - 1] += 1
-    return [buckets[k] for k in sorted(buckets)]
+    lift, comps the component of each slot; the least lift itself lands
+    in the final component's bucket."""
+    base = min(lifts)
+    buckets = Counter({max(comps): 1})
+    for lift in lifts:
+        if lift != base:
+            buckets[max(c for c, x, y in zip(comps, lift, base)
+                        if x != y)] += 1
+    return list(buckets.values())
 
 
 def recover_counting_from_additive(poly):

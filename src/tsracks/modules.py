@@ -34,7 +34,7 @@ from .errors import (
     WrongStructureError,
 )
 from .groups import AbelianGroup, QuotientRing
-from .racks import cycle_lengths, validate_rack
+from .racks import FiniteRack, cycle_lengths, inverse_matrix
 
 
 class TSRack:
@@ -135,13 +135,16 @@ class TSRack:
 
     def to_finite_rack(self, order=None):
         """Export the operation matrix, elements enumerated in ``order``
-        (default: lexicographic).  Round-trips through validate_rack."""
+        (default: lexicographic).  Round-trips through validate_rack; of
+        its checks only axiom (i) is repeated, as axiom (ii) holds in
+        every (t,s)-rack and this one was validated when built."""
         elems = list(order) if order is not None else list(self.carrier)
         if sorted(elems) != list(self.carrier):
             raise ValidationError("order must enumerate the carrier exactly")
         index = {x: i + 1 for i, x in enumerate(elems)}
-        matrix = [[index[self.op(x, y)] for y in elems] for x in elems]
-        return validate_rack(matrix)
+        matrix = tuple(tuple(index[self.op(x, y)] for y in elems)
+                       for x in elems)
+        return FiniteRack(matrix, inverse_matrix(matrix))
 
     def __repr__(self):
         if self.spec is not None:

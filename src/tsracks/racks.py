@@ -68,18 +68,7 @@ def validate_rack(matrix):
                     "rack matrix entries must lie in 1..%d, got %d" % (n, k)
                 )
 
-    inv = [[0] * n for _ in range(n)]
-    for j in range(n):
-        col = [op[i][j] for i in range(n)]
-        if sorted(col) != list(range(1, n + 1)):
-            raise RackAxiomError(
-                1, j + 1,
-                "axiom (i) fails: column %d is not a permutation" % (j + 1),
-            )
-        for i in range(n):
-            inv[col[i] - 1][j] = i + 1
-    inv = tuple(tuple(row) for row in inv)
-
+    inv = inverse_matrix(op)
     for x in range(1, n + 1):
         for y in range(1, n + 1):
             xy = op[x - 1][y - 1]
@@ -93,6 +82,24 @@ def validate_rack(matrix):
                         "(x>y)>z=%d but (x>z)>(y>z)=%d" % (x, y, z, left, right),
                     )
     return FiniteRack(op, inv)
+
+
+def inverse_matrix(op):
+    """The columnwise inverse of an operation matrix, checking axiom (i):
+    raises RackAxiomError naming the first column that is not a
+    permutation."""
+    n = len(op)
+    inv = [[0] * n for _ in range(n)]
+    for j in range(n):
+        col = [op[i][j] for i in range(n)]
+        if sorted(col) != list(range(1, n + 1)):
+            raise RackAxiomError(
+                1, j + 1,
+                "axiom (i) fails: column %d is not a permutation" % (j + 1),
+            )
+        for i in range(n):
+            inv[col[i] - 1][j] = i + 1
+    return tuple(tuple(row) for row in inv)
 
 
 def rack_from_text(text):

@@ -192,15 +192,29 @@ def module_iso_oracle(source, target):
 
 def labeling_oracle(diagram, rack):
     """Every labeling of the diagram by the rack, as a set of sorted
-    (arc, element) tuples.  All |X|^arcs assignments are tried; one is kept
-    when at every crossing the outgoing under-arc carries (under-in > over),
-    or (under-in >^-1 over) at a negative crossing."""
-    out = set()
-    for values in product(rack.elements, repeat=len(diagram.arcs)):
-        f = dict(zip(diagram.arcs, values))
-        if all(f[c.under_out] == (rack.op if c.sign > 0 else rack.op_inv)(
-                f[c.under_in], f[c.over]) for c in diagram.crossings):
+    (arc, element) tuples.  Elements are assigned arc by arc in sorted
+    arc order, every element to every arc; a labeling is kept when at
+    every crossing the outgoing under-arc carries (under-in > over), or
+    (under-in >^-1 over) at a negative crossing.  A partial assignment is
+    dropped as soon as a crossing whose three arcs it holds fails, which
+    only skips assignments that could not be kept."""
+    arcs = sorted(diagram.arcs)
+    due = [[] for _ in arcs]   # crossings whose last arc is arcs[i]
+    for c in diagram.crossings:
+        due[max(arcs.index(a) for a in c[:3])].append(c)
+    out, f = set(), {}
+
+    def extend(i):
+        if i == len(arcs):
             out.add(tuple(sorted(f.items())))
+            return
+        for x in rack.elements:
+            f[arcs[i]] = x
+            if all(f[c.under_out] == (rack.op if c.sign > 0 else rack.op_inv)(
+                    f[c.under_in], f[c.over]) for c in due[i]):
+                extend(i + 1)
+
+    extend(0)
     return out
 
 

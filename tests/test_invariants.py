@@ -1,12 +1,16 @@
+import json
+import time
 from collections import Counter
 
 import pytest
 
 import tsracks.invariants as invariants
+import tsracks.labelings as labelings
 
-from tsracks.atlas import load_corpus
+from tsracks.atlas import load_corpus, load_corpus_specs
+from tsracks.cli import CACHE_ENV, main
 from tsracks.diagrams import framed_family, parse_braid, parse_link, parse_pd, unknot_diagram
-from tsracks.errors import WrongStructureError
+from tsracks.errors import ConsistencyError, ValidationError, WrongStructureError
 from tsracks.invariants import (
     additive_enhanced,
     counting_invariant,
@@ -17,7 +21,8 @@ from tsracks.invariants import (
     s_enhanced,
     writhe_enhanced,
 )
-from tsracks.modules import enumerate_linear, make_linear, make_quotient, s_submodule
+from tsracks.modules import (enumerate_linear, make_linear, make_quotient,
+                             s_submodule, tsrack_from_spec)
 from tsracks.polynomials import InvariantPolynomial, parse_u_polynomial
 from tsracks.racks import constant_action_rack, validate_rack
 
@@ -165,27 +170,24 @@ class TestAdditiveEnhanced:
         assert rebuilt == poly
 
     def test_each_label_set_and_image_enhanced_once(self, monkeypatch):
-        # T(2,4) by Q16: 1024 labelings carry 174 distinct label sets,
-        # which generate 21 distinct image subracks
-        calls, labelings = Counter(), []
+        # T(2,4) by Q16: 1024 labelings over all framings carry 111
+        # distinct label sets, which generate 21 distinct image subracks.
+        # The sets are taken on the cut-open diagram, without the kink
+        # chains' labels pi^j(in), 0 < j < k, which lie in the image of
+        # {in}; on the framed diagrams of framed_family they number 174.
+        calls = Counter()
         for name in ("image_subrack", "subgroup_closure",
                      "invariant_factors"):
             def counted(*args, _fn=getattr(invariants, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(invariants, name, counted)
-
-        def homs(*args, _fn=invariants.enumerate_homs):
-            found = _fn(*args)
-            labelings.append(len(found))
-            return found
-        monkeypatch.setattr(invariants, "enumerate_homs", homs)
         poly, multiset = additive_enhanced(load_corpus()["L4a1"],
                                            make_quotient(2, [1, 0, 1]))
-        assert dict(calls) == {"image_subrack": 174,
+        assert dict(calls) == {"image_subrack": 111,
                                "subgroup_closure": 21,
                                "invariant_factors": 21}
-        assert sum(labelings) == multiset.total() == 1024
+        assert multiset.total() == 1024
         # the criterion-2 value from the brute-force oracle
         assert str(poly) == "16u + 80u^2 + 320u^4 + 192u^8 + 416u^16"
 
@@ -226,6 +228,29 @@ class TestSEnhanced:
         with pytest.raises(WrongStructureError):
             s_enhanced(HOPF, SIGMA12)
 
+    def test_projection_check_reads_the_cuts(self):
+        # out slot 0, in slot 1 and no crossings: the labels hold for k
+        # kinks exactly when out = pi^k(in)
+        tables = labelings.operation_columns(make_quotient(2, [1, 0, 1]))[1]
+        kink = tables[2][0]
+        x = next(i for i, y in enumerate(kink) if y != i)
+        cuts = [(0, 1, 0)]
+        assert labelings.holds(tables, [kink[kink[x]], x], (2,), [], cuts)
+        assert not labelings.holds(tables, [kink[x], x], (2,), [], cuts)
+
+    @pytest.mark.parametrize("wrong", [(0,), (1,)],
+                             ids=["in sX", "outside sX"])
+    def test_wrong_projection_raises(self, monkeypatch, wrong):
+        # the operation columns, and so the labelings, are built before s
+        # is changed at 1; only the projection reads the wrong value
+        rack = make_linear(4, 3, 2)
+        sub = s_submodule(rack)
+        counting_invariant(TREFOIL, rack)
+        monkeypatch.setattr(invariants, "s_submodule", lambda _: sub)
+        monkeypatch.setitem(rack.s_map, (1,), wrong)
+        with pytest.raises(ConsistencyError):
+            s_enhanced(load_corpus()["L4a1"], rack)
+
 
 class TestRecovery:
     def test_additive_recovery_examples(self):
@@ -250,6 +275,59 @@ class TestRecovery:
                 s_poly, _ = s_enhanced(diagram, rack)
                 assert recover_counting_from_additive(add_poly) == count
                 assert recover_counting_from_s(s_poly) == count
+
+
+def plan_leaves(diagram, rack):
+    """The leaf bound of the one-search plan of the diagram by the rack."""
+    period = rack.rack_rank()
+    comps, crossings, cuts = labelings._cut_open(diagram, period)
+    return labelings._compile(rack.order, period, crossings, cuts,
+                               len(comps))[0]
+
+
+class TestOneSearch:
+    def test_plan_branches_at_a_cut_only_to_save_a_seed(self):
+        # |X| = 16 per seed, N = 4 per cut branch
+        corpus, q16 = load_corpus(), make_quotient(2, [1, 0, 1])
+        assert plan_leaves(corpus["3_1"], q16) == 16 ** 2   # not 4 * 16^2
+        assert plan_leaves(corpus["7_6"], q16) == 4 * 16 ** 2  # not 16^3
+        assert plan_leaves(corpus["8_8"], q16) == 4 * 16 ** 2
+        assert plan_leaves(corpus["8_18"], q16) == 16 ** 3
+
+    def test_rank_one_has_no_cuts(self):
+        assert labelings._cut_open(TREFOIL, 1)[2] == []
+
+
+class TestInputLimit:
+    Q1024 = {"type": "quotient", "n": 2, "p": [1, 0, 0, 0, 0, 1]}
+
+    def test_limit_applies_to_the_plan(self, monkeypatch):
+        # the trefoil by Q16 takes a plan of 16^2 leaves
+        q16 = make_quotient(2, [1, 0, 1])
+        monkeypatch.setattr(labelings, "LEAF_LIMIT", 16 ** 2 - 1)
+        with pytest.raises(ValidationError):
+            counting_invariant(TREFOIL, q16)
+        monkeypatch.setattr(labelings, "LEAF_LIMIT", 16 ** 2)
+        assert counting_invariant(TREFOIL, q16) == 32
+
+    def test_q256_on_8_10_is_within_the_limit(self):
+        q256 = make_quotient(2, [1, 0, 0, 1, 1])
+        assert plan_leaves(load_corpus()["8_10"], q256) == 256 ** 3
+        assert 256 ** 3 <= labelings.LEAF_LIMIT
+
+    def test_q1024_on_8_18_refused_before_the_search(self, monkeypatch,
+                                                    capsys):
+        monkeypatch.delenv(CACHE_ENV, raising=False)
+        link = load_corpus_specs()["8_18"]
+        start = time.perf_counter()
+        code = main(["invariant", "--rack", json.dumps(self.Q1024),
+                     "--link", link])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert "limit" in capsys.readouterr().err
+        with pytest.raises(ValidationError):
+            counting_invariant(load_corpus()["8_18"],
+                               tsrack_from_spec(self.Q1024))
 
 
 class TestFramingPeriodicity:

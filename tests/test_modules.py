@@ -22,7 +22,7 @@ from tsracks.modules import (
     tsrack_from_spec,
     tsrack_iso_check,
 )
-from tsracks.racks import find_isomorphism, is_homomorphism, rack_rank
+from tsracks.racks import find_isomorphism, is_homomorphism, rack_rank, validate_rack
 
 PAPER_ORDER_Z4 = [(1,), (2,), (3,), (0,)]
 EXAMPLE_36 = ((3, 1, 3, 1), (4, 2, 4, 2), (1, 3, 1, 3), (2, 4, 2, 4))
@@ -259,6 +259,18 @@ class TestToFiniteRack:
         x = make_linear(4, 1, 2)
         with pytest.raises(ValidationError):
             x.to_finite_rack(order=[(0,), (1,), (2,), (2,)])
+
+    def test_export_is_the_validated_rack(self):
+        # the export skips axiom (ii); validate_rack checks all of it
+        racks = [make_linear(n, t, s) for n in range(2, 9)
+                 for t, s in enumerate_linear(n)]
+        racks.append(make_quotient(2, [1, 0, 1]))
+        for x in racks:
+            for order in (None, x.carrier[::-1]):
+                exported = x.to_finite_rack(order)
+                checked = validate_rack(exported.op_matrix)
+                assert checked == exported
+                assert checked.inv_matrix == exported.inv_matrix
 
 
 class TestSSubmodule:

@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from tsracks.atlas import load_corpus
 from tsracks.diagrams import add_kink, framed_family, parse_braid, unknot_diagram
 from tsracks.invariants import (additive_enhanced, enumerate_homs,
                                 image_subrack, rack_rank_of)
+from tsracks.labelings import framed_labelings
 from tsracks.modules import enumerate_linear, make_linear, make_quotient, s_submodule
 from tsracks.racks import conjugation_rack, constant_action_rack
 
@@ -102,6 +105,67 @@ def mismatches_under_optimize(name):
 def test_labeling_kernel_matches_oracle_under_optimize():
     # the kernel's rules are code, not asserts, so python -O keeps them
     assert mismatches_under_optimize("labeling_mismatches") == "[]"
+
+
+def framing_mismatches():
+    """Every (rack, diagram, framing) where the kernel's one search over
+    all framings disagrees with framed_family's diagram of that framing:
+    in the labelings' label sets, counted with multiplicity, once the
+    labels pi^j(in), 0 < j < k, of each kink chain are added.  The framed
+    diagrams are labeled by labeling_oracle, or by enumerate_homs (checked
+    against the oracle above) for Q16 and the 3-component L6a4, where the
+    oracle would take minutes.  No assert, so it also runs under
+    python -O."""
+    corpus = load_corpus()
+    # 8_18 takes three seeds, 7_6 and 8_8 branch at their cut with Q16
+    diagrams = {n: corpus[n] for n in ("7_6", "8_8", "8_18", "L2a1", "L6a4")}
+    diagrams["unlink"] = unknot_diagram(2)
+    # an unlink whose second component only passes over
+    diagrams["braid 2: 1 -1"] = parse_braid(2, [1, -1])
+    racks = {
+        "Z12": make_linear(12, 11, 2), "R4": make_linear(4, 3, 2),
+        "Q16": make_quotient(2, [1, 0, 1]),
+        "quotient(3, [1, 1])": make_quotient(3, [1, 1]),
+        "linear(8, 3, 2)": make_linear(8, 3, 2),
+        "conjugation S3": conjugation_rack(S3_TABLE),
+        "constant (2 3 1 5 4)": constant_action_rack([2, 3, 1, 5, 4]),
+    }
+    bad = []
+    for rack_name, rack in racks.items():
+        period, elements = rack_rank_of(rack), rack.elements
+        for name, diagram in diagrams.items():
+            (_, _, cuts), found = framed_labelings(diagram, rack, period)
+            got = {}
+            for labels, ks in found:
+                for k in product(*ks):
+                    values = {elements[i] for i in labels}
+                    for i, into, _ in cuts:
+                        x = elements[labels[into]]
+                        for _ in range(k[i] - 1):
+                            x = rack.op(x, x)
+                            values.add(x)
+                    got.setdefault(k, Counter())[frozenset(values)] += 1
+            base = diagram.writhe_vector()
+            for w, d in framed_family(diagram, period).items():
+                if rack_name == "Q16" or name == "L6a4":
+                    want = Counter(frozenset(f.values())
+                                   for f in enumerate_homs(d, rack))
+                else:
+                    want = Counter(frozenset(x for _, x in f)
+                                   for f in labeling_oracle(d, rack))
+                k = tuple((a - b) % period for a, b in zip(w, base))
+                if got.get(k, Counter()) != want:
+                    bad.append((rack_name, name, w))
+    return bad
+
+
+def test_one_search_matches_framed_diagrams():
+    assert framing_mismatches() == []
+
+
+def test_one_search_matches_framed_diagrams_under_optimize():
+    # the cut rules are code, not asserts, so python -O keeps them
+    assert mismatches_under_optimize("framing_mismatches") == "[]"
 
 
 def image_subrack_mismatches():
