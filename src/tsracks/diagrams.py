@@ -505,6 +505,9 @@ def pd_code(diagram):
             number[e] = counter
             counter += 1
             e = next_edge[e]
+    # a strand of at most two edges that never passes under reads the same
+    # both ways round as the over-strand of X[a,b,c,d]: sign its crossings
+    under = {diagram.arc_of_edge[c.under_in] for c in diagram.edge_crossings}
     quads = []
     for c in diagram.edge_crossings:
         a = number[c.under_in]
@@ -513,7 +516,10 @@ def pd_code(diagram):
             b, d = number[c.over_out], number[c.over_in]
         else:
             b, d = number[c.over_in], number[c.over_out]
-        quads.append("X[%d,%d,%d,%d]" % (a, b, out, d))
+        signed = (diagram.arc_of_edge[c.over_in] not in under
+                  and next_edge[next_edge[c.over_in]] == c.over_in)
+        quads.append("X%s[%d,%d,%d,%d]"
+                     % ("+-"[c.sign < 0] if signed else "", a, b, out, d))
     text = " ".join(quads)
     if diagram.free_loops:
         suffix = "unknots: %d" % len(diagram.free_loops)

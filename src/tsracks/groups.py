@@ -6,6 +6,7 @@ Addition is componentwise.  Everything here is exhaustive and meant for
 desk-scale groups (order up to a few thousand).
 """
 
+from collections import Counter
 from itertools import product
 from math import gcd, prod
 from operator import add, mod, sub
@@ -67,20 +68,10 @@ class AbelianGroup:
 
 
 def subgroup_closure(group, gens):
-    """Smallest subset containing gens and 0, closed under + and negation.
-
-    Worklist saturation: keep adding pairwise sums until nothing new shows
-    up.  Negation comes for free in a finite group.
-    """
-    for g in gens:
-        group.check_element(g)
-    closed = {group.zero}
-    frontier = [group.zero]
-    gens = list(dict.fromkeys(tuple(g) for g in gens))
-    for g in gens:
-        if g not in closed:
-            closed.add(g)
-            frontier.append(g)
+    """Smallest subset containing gens and 0, closed under + and negation
+    (free in a finite group): add generators from 0 until nothing is new."""
+    gens = list(dict.fromkeys(group.check_element(g) for g in gens))
+    closed, frontier = {group.zero}, [group.zero]
     while frontier:
         x = frontier.pop()
         for g in gens:
@@ -100,37 +91,33 @@ def is_subgroup(group, subset):
 
 def invariant_factors(group, subset):
     """Invariant factors d_1 | d_2 | ... | d_k of a subgroup, from its
-    element-order census.
-
-    For each prime p dividing |S|, counting the elements killed by p^j
-    determines the p-part of the factor decomposition (the counts give the
-    conjugate partition of the p-exponents).  The factors then assemble by
-    aligning the largest parts of each prime.
-    """
+    element-order census (see census_factors)."""
     subset = [group.check_element(x) for x in subset]
     if len(set(subset)) != len(subset):
         raise NotASubgroupError("element set has repeats")
     subset = set(subset)
     if not is_subgroup(group, subset):
         raise NotASubgroupError("set is not closed under addition")
-    n = len(subset)
+    return census_factors([group.element_order(x) for x in subset])
+
+
+def census_factors(orders):
+    """Invariant factors of a finite abelian group from the additive orders
+    of its elements, [] for the trivial group.  For each prime p, r_j =
+    #{cyclic factors of the p-part with exponent >= j} comes from the
+    census c_j = #{x : p^j x = 0} as c_j / c_{j-1} = p^{r_j}; the exponents
+    are the conjugate partition, aligned by size across the primes."""
+    n = len(orders)
     if n == 1:
         return []
-
-    # For each prime p: r_j = #{cyclic factors of the p-part with exponent
-    # >= j}, read off from the census c_j = #{x in S : p^j x = 0} via
-    # c_j / c_{j-1} = p^{r_j}.  The exponent partition is the conjugate.
+    census = Counter(orders)
     exps_by_prime = {}
     for p in _prime_factors(n):
         r = []
         prev = 1
         while True:
             pj = p ** (len(r) + 1)
-            cur = sum(
-                1
-                for x in subset
-                if all((pj * a) % m == 0 for a, m in zip(x, group.moduli))
-            )
+            cur = sum(c for order, c in census.items() if pj % order == 0)
             if cur == prev:
                 break
             r.append(_int_log(cur // prev, p))

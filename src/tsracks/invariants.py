@@ -16,10 +16,10 @@ from itertools import product
 from math import prod
 
 from .errors import ConsistencyError, WrongStructureError
-from .groups import invariant_factors, subgroup_closure
+from .groups import census_factors
 # enumerate_homs is named here too, where callers and the benchmark's
 # tracer find it
-from .labelings import (enumerate_homs, framed_labelings, holds,
+from .labelings import (_Columns, enumerate_homs, framed_labelings, holds,
                         operation_columns)
 from .modules import TSRack, s_submodule
 from .polynomials import InvariantPolynomial
@@ -215,14 +215,17 @@ def image_subrack(rack, labels):
     Each right translation x -> x > y is a rack automorphism, so the
     translation by a > b is a conjugate of those by a and b: closing the
     labels under the translations by the labels alone closes them under
-    the whole subrack, and in a finite rack under >^{-1} as well.  Runs
-    on element indices through the rack's operation columns (see
-    labelings.operation_columns).
+    the whole subrack, and in a finite rack under >^{-1} as well.
     """
     elements, tables = operation_columns(rack)
     index = tables[0].index
-    columns = [tables[0][index[y]] for y in labels]
-    out = {index[x] for x in labels}
+    return {elements[k] for k in _image(tables[0], {index[x] for x in labels})}
+
+
+def _image(columns, labels):
+    """image_subrack on element indices, columns the > columns."""
+    columns = [columns[j] for j in labels]
+    out = set(labels)
     frontier = list(out)
     while frontier:
         i = frontier.pop()
@@ -231,7 +234,33 @@ def image_subrack(rack, labels):
             if k not in out:
                 out.add(k)
                 frontier.append(k)
-    return {elements[k] for k in out}
+    return frozenset(out)
+
+
+def _span_weight(rack, image):
+    """(|AC|, invariant factors of AC), AC the subgroup generated by the
+    image, element indices of the module rack: the span S takes the cosets
+    S + g, S + 2g, ... for each g in the image but not in S, until one
+    returns into S, and must then be closed under + g for each g taken.
+    The add columns and additive orders are kept on the rack."""
+    if not hasattr(rack, "_sum_columns"):
+        elements, tables = operation_columns(rack)
+        index, group = tables[0].index, rack.group
+        rack._sum_columns = (_Columns(group.add, elements, index),
+                             [group.element_order(x) for x in elements],
+                             index[group.zero])
+    add, orders, zero = rack._sum_columns
+    span, taken = {zero}, []
+    for g in image:
+        if g not in span:
+            taken.append(add[g])
+            coset = [taken[-1][x] for x in span]
+            while coset[0] not in span:
+                span.update(coset)
+                coset = [taken[-1][x] for x in coset]
+    if not all(column[x] in span for column in taken for x in span):
+        raise ConsistencyError("the span of an image is not a subgroup")
+    return len(span), tuple(census_factors([orders[x] for x in span]))
 
 
 def additive_enhanced(diagram, rack, use_linear_path=False):
@@ -245,9 +274,9 @@ def additive_enhanced(diagram, rack, use_linear_path=False):
     by the arc labels there.
 
     The weight depends only on the set of labels, so each distinct label
-    set over all framings is enhanced once, and each distinct image
-    subrack gets its closure and invariant factors once; both memos live
-    only for this call.
+    set over all framings, as element indices, is closed into its image
+    once (_image), and each distinct image weighed once (_span_weight);
+    both memos live only for this call.
 
     Label sets are taken on the cut-open diagram: the kink chain
     pi^j(in), 0 < j < k, lies in the image of {in}.  use_linear_path
@@ -255,27 +284,23 @@ def additive_enhanced(diagram, rack, use_linear_path=False):
     """
     _require_module(rack)
     period = rack.rack_rank()
+    columns = operation_columns(rack)[1][0]
+    label_sets = Counter()
     if use_linear_path:
-        label_sets = Counter(
-            frozenset(f.values())
-            for d in framed_family(diagram, period).values()
-            for f in enumerate_homs_linear(d, rack))
+        for d in framed_family(diagram, period).values():
+            for f in enumerate_homs_linear(d, rack):
+                label_sets[frozenset(columns.index[x]
+                                     for x in f.values())] += 1
     else:
-        elements = operation_columns(rack)[0]
-        by_index = Counter()
         for labels, ks in framed_labelings(diagram, rack, period)[1]:
-            by_index[frozenset(labels)] += prod(map(len, ks))
-        label_sets = {frozenset(elements[i] for i in labels): count
-                      for labels, count in by_index.items()}
+            label_sets[frozenset(labels)] += prod(map(len, ks))
     terms = Counter()
     multiset = EnhancedMultiset()
     weights = {}
     for labels, count in label_sets.items():
-        image = frozenset(image_subrack(rack, labels))
+        image = _image(columns, labels)
         if image not in weights:
-            closure = subgroup_closure(rack.group, image)
-            weights[image] = (len(closure),
-                              tuple(invariant_factors(rack.group, closure)))
+            weights[image] = _span_weight(rack, image)
         size, factors = weights[image]
         terms[size, ()] += count
         multiset.add(factors, count)

@@ -13,6 +13,10 @@ it reads the rack only through its op and op_inv.
 image_subrack_oracle closes a label set under > and >^-1 over all pairs,
 for checking tsracks.invariants.image_subrack; it too reads only op and
 op_inv.
+additive_weight_oracle gives the size and invariant factors of the subgroup
+that a label set's image generates, by pairwise closure and an element-order
+census, for checking the additive weight of tsracks.invariants; it reads
+the rack's op, op_inv and moduli, and no group arithmetic of tsracks.
 
 Ring elements of Z_2[t]/(t^2+1) are bit pairs (c0, c1) = c0 + c1 t.  Rack
 elements are pairs (a, b) of ring elements standing for a + b s, with
@@ -21,6 +25,7 @@ t(a, b) = (ta, tb), s(a, b) = (0, a + (1-t)b) and x > y = t(x) + s(y).
 
 from collections import Counter
 from itertools import permutations, product
+from math import gcd, prod
 
 RING = list(product(range(2), repeat=2))
 RACK = list(product(RING, repeat=2))
@@ -229,3 +234,50 @@ def image_subrack_oracle(rack, labels):
         if not new:
             return out
         out |= new
+
+
+def additive_weight_oracle(rack, labels):
+    """(|AC|, invariant factors of AC) for AC the subgroup generated by
+    the image subrack of the labels.  AC is the image with 0, closed under
+    pairwise sums until nothing new appears.  Its invariant factors are
+    the divisor chain d_1 | ... | d_k (each d_i >= 2) of product |AC| with
+    prod_i gcd(m, d_i) = #{x in AC : m x = 0} for every m dividing |AC|,
+    the counts read off the order of each element, found by repeated
+    addition."""
+    moduli = rack.group.moduli
+    zero = (0,) * len(moduli)
+
+    def add(x, y):
+        return tuple((a + b) % m for a, b, m in zip(x, y, moduli))
+
+    def order(x):
+        k, y = 1, x
+        while y != zero:
+            k, y = k + 1, add(y, x)
+        return k
+
+    span = set(image_subrack_oracle(rack, labels)) | {zero}
+    while True:
+        new = {add(x, y) for x in span for y in span} - span
+        if not new:
+            break
+        span |= new
+    n = len(span)
+    census = Counter(order(x) for x in span)
+    for chain in _divisor_chains(n, 2):
+        if all(prod(gcd(m, d) for d in chain)
+               == sum(c for o, c in census.items() if m % o == 0)
+               for m in range(1, n + 1) if n % m == 0):
+            return n, tuple(chain)
+    raise ValueError("no divisor chain fits the order census")
+
+
+def _divisor_chains(n, least):
+    """Every list d_1 | d_2 | ... of integers >= least with product n."""
+    if n == 1:
+        yield []
+    for d in range(least, n + 1):
+        if n % d == 0:
+            for rest in _divisor_chains(n // d, d):
+                if not rest or rest[0] % d == 0:
+                    yield [d] + rest

@@ -249,6 +249,10 @@ class TestPDExport:
         parse_braid(3, [1, -2, 1, -2]),
         parse_braid(3, [1, -2] * 3),
         parse_pd(TREFOIL_PD),
+        # a component of two edges that only passes over, whose crossings
+        # pd_code must sign: unsigned, parse_pd refused them as ambiguous
+        parse_braid(2, [1, -1]),
+        parse_braid(3, [-2, 1, 1, 2]),
     ])
     def test_round_trip_preserves_structure(self, diagram):
         text = pd_code(diagram)
@@ -258,6 +262,10 @@ class TestPDExport:
         assert back.writhe_vector() == diagram.writhe_vector()
         assert sorted(c.sign for c in back.crossings) == \
             sorted(c.sign for c in diagram.crossings)
+
+    def test_signs_only_where_needed(self):
+        assert pd_code(parse_braid(2, [1, -1])) == "pd: X+[1,4,2,3] X-[2,4,1,3]"
+        assert "X+" not in pd_code(parse_braid(2, [1, 1]))   # Hopf
 
     def test_unknots_survive(self):
         d = parse_link("braid: 2: 1 1; unknots: 2")

@@ -175,18 +175,18 @@ class TestAdditiveEnhanced:
         # The sets are taken on the cut-open diagram, without the kink
         # chains' labels pi^j(in), 0 < j < k, which lie in the image of
         # {in}; on the framed diagrams of framed_family they number 174.
+        # The additive path runs on element indices: each label set is
+        # closed by _image once and each image weighed by _span_weight
+        # once, without the public image_subrack.
         calls = Counter()
-        for name in ("image_subrack", "subgroup_closure",
-                     "invariant_factors"):
+        for name in ("_image", "_span_weight", "image_subrack"):
             def counted(*args, _fn=getattr(invariants, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(invariants, name, counted)
         poly, multiset = additive_enhanced(load_corpus()["L4a1"],
                                            make_quotient(2, [1, 0, 1]))
-        assert dict(calls) == {"image_subrack": 111,
-                               "subgroup_closure": 21,
-                               "invariant_factors": 21}
+        assert dict(calls) == {"_image": 111, "_span_weight": 21}
         assert multiset.total() == 1024
         # the criterion-2 value from the brute-force oracle
         assert str(poly) == "16u + 80u^2 + 320u^4 + 192u^8 + 416u^16"

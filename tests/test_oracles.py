@@ -10,16 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from oracles import (RACK, OP_INV, additive_oracle, format_u,
-                     image_subrack_oracle, labeling_oracle, op,
+from oracles import (RACK, OP_INV, additive_oracle, additive_weight_oracle,
+                     format_u, image_subrack_oracle, labeling_oracle, op,
                      tsrack_validation_oracle)
 from test_tsrack_validation import GROUPS, _cases, _constructor_outcome
 from tsracks.atlas import load_corpus
 from tsracks.diagrams import add_kink, framed_family, parse_braid, unknot_diagram
-from tsracks.invariants import (additive_enhanced, enumerate_homs,
-                                image_subrack, rack_rank_of)
-from tsracks.labelings import framed_labelings
-from tsracks.modules import enumerate_linear, make_linear, make_quotient, s_submodule
+from tsracks.invariants import (_image, _span_weight, additive_enhanced,
+                                enumerate_homs, image_subrack, rack_rank_of)
+from tsracks.labelings import framed_labelings, operation_columns
+from tsracks.modules import (enumerate_linear, make_linear, make_module,
+                             make_quotient, s_submodule)
 from tsracks.racks import conjugation_rack, constant_action_rack
 
 TESTS = Path(__file__).resolve().parent
@@ -199,6 +200,42 @@ def test_image_subrack_matches_oracle():
 
 def test_image_subrack_matches_oracle_under_optimize():
     assert mismatches_under_optimize("image_subrack_mismatches") == "[]"
+
+
+def weight_mismatches():
+    """Every (rack, label set) where the additive weight on element
+    indices (_image, then _span_weight) and additive_weight_oracle
+    disagree, over seeded random label sets; no assert, so it also runs
+    under python -O."""
+    racks = {
+        "Q16": make_quotient(2, [1, 0, 1]),
+        "quotient(3, [1, 1])": make_quotient(3, [1, 1]),
+        "s_submodule(R4)": s_submodule(make_linear(4, 3, 2)),
+        "Z2+Z4": make_module((2, 4), [[1, 1], [2, 1]], [[0, 1], [2, 2]]),
+    }
+    for n in range(2, 13):
+        for t, s in enumerate_linear(n):
+            racks["linear(%d, %d, %d)" % (n, t, s)] = make_linear(n, t, s)
+    rng = random.Random(2011)
+    bad = []
+    for name, rack in racks.items():
+        elements = list(rack.elements)
+        columns = operation_columns(rack)[1][0]
+        for _ in range(6):
+            labels = rng.sample(elements, rng.randint(1, min(3, len(elements))))
+            image = _image(columns, {columns.index[x] for x in labels})
+            if _span_weight(rack, image) != additive_weight_oracle(rack, labels):
+                bad.append((name, labels))
+    return bad
+
+
+def test_additive_weight_matches_oracle():
+    assert weight_mismatches() == []
+
+
+def test_additive_weight_matches_oracle_under_optimize():
+    # the span closure and the chain check raise, they do not assert
+    assert mismatches_under_optimize("weight_mismatches") == "[]"
 
 
 def validation_mismatches():

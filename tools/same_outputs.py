@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Dump every invariant of every corpus entry, for comparing two checkouts.
+
+For each rack spec and each entry of the checkout's corpus it records the
+counting invariant, the writhe-enhanced polynomial, the additive
+polynomial and multiset record, and the s-enhanced polynomial and
+multiset record in both split_fibers readings.  An invariant that raises
+is recorded as its exception class and message.  The output is JSON with
+sorted keys, so two checkouts that compute the same values give
+byte-identical files:
+
+    python3 tools/same_outputs.py OLD_CHECKOUT SPEC... > old.json
+    python3 tools/same_outputs.py NEW_CHECKOUT SPEC... > new.json
+    cmp old.json new.json
+
+A SPEC is a rack spec as the command line takes it, for example
+'{"type": "quotient", "n": 2, "p": [1, 0, 1]}'.  Only the named
+checkout's src/ is imported.
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+
+def import_checkout(root):
+    """Import tsracks from root/src and from nowhere else."""
+    src = str((Path(root) / "src").resolve())
+    if "tsracks" in sys.modules:
+        raise RuntimeError("tsracks is already imported")
+    sys.path.insert(0, src)
+    import tsracks
+    if not str(Path(tsracks.__file__).resolve()).startswith(src):
+        raise RuntimeError("tsracks came from %s, not %s"
+                           % (tsracks.__file__, src))
+    return tsracks
+
+
+def outcome(fn, *args, **kwargs):
+    """The value of fn as JSON-ready data, or the exception it raises."""
+    try:
+        value = fn(*args, **kwargs)
+    except Exception as exc:  # recorded, so both sides must raise alike
+        return {"raises": [type(exc).__name__, str(exc)]}
+    if isinstance(value, tuple):
+        poly, multiset = value
+        return [str(poly), multiset.to_record()]
+    return value if isinstance(value, int) else str(value)
+
+
+def dump(ts, specs):
+    inv = ts.invariants
+    corpus = ts.atlas.load_corpus()
+    out = {}
+    for text in specs:
+        rack = ts.modules.tsrack_from_spec(json.loads(text))
+        out[text] = {name: {
+            "count": outcome(inv.counting_invariant, d, rack),
+            "writhe": outcome(inv.writhe_enhanced, d, rack),
+            "additive": outcome(inv.additive_enhanced, d, rack),
+            "s_split": outcome(inv.s_enhanced, d, rack, split_fibers=True),
+            "s_plain": outcome(inv.s_enhanced, d, rack, split_fibers=False),
+        } for name, d in corpus.items()}
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("checkout", help="repository root holding src/")
+    parser.add_argument("specs", nargs="+", metavar="SPEC",
+                        help="rack spec as JSON text")
+    args = parser.parse_args(argv)
+    ts = import_checkout(args.checkout)
+    json.dump(dump(ts, args.specs), sys.stdout, sort_keys=True, indent=1)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
