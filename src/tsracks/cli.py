@@ -40,6 +40,15 @@ CACHE_ENV = "TSRACKS_CACHE_DIR"
 KINDS = ("count", "writhe", "additive", "s-enh")
 
 
+def _read(path):
+    """The text of a file; a file that cannot be read is a parse error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError("cannot read %s: %s" % (path, exc)) from exc
+
+
 class _RackSource:
     def __init__(self, text):
         self.text = text.strip()
@@ -47,8 +56,7 @@ class _RackSource:
         self.matrix_rack = None
         body = self.text
         if os.path.exists(body) and not body.startswith("{"):
-            with open(body) as fh:
-                body = fh.read().strip()
+            body = _read(body).strip()
         if body.startswith("{"):
             try:
                 spec = json.loads(body)
@@ -78,8 +86,7 @@ class _RackSource:
 def _link_source(text):
     text = text.strip()
     if os.path.exists(text):
-        with open(text) as fh:
-            text = fh.read().strip()
+        text = _read(text).strip()
     return text
 
 
@@ -279,8 +286,7 @@ def cmd_invariant(args):
 
 def cmd_table(args):
     source = _RackSource(args.rack)
-    with open(args.links) as fh:
-        lines = [ln.strip() for ln in fh]
+    lines = [ln.strip() for ln in _read(args.links).split("\n")]
     groups = {}
     failures = []
     for ln in lines:

@@ -35,9 +35,6 @@ class AbelianGroup:
     def __repr__(self):
         return "AbelianGroup(%s)" % (self.moduli,)
 
-    def __iter__(self):
-        return iter(self.elements())
-
     def elements(self):
         """All elements in lexicographic order."""
         return [tuple(v) for v in product(*(range(m) for m in self.moduli))]

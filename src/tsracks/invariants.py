@@ -14,6 +14,7 @@ structure), or by the projected labeling under multiplication by s
 from collections import Counter
 from itertools import product
 from math import prod
+from operator import mul
 
 from .errors import ConsistencyError, WrongStructureError
 from .groups import census_factors
@@ -21,7 +22,7 @@ from .groups import census_factors
 # tracer find it
 from .labelings import (_Columns, enumerate_homs, framed_labelings, holds,
                         operation_columns)
-from .modules import TSRack, s_submodule
+from .modules import TSRack
 from .polynomials import InvariantPolynomial
 from .racks import rack_rank
 from .diagrams import framed_family
@@ -37,107 +38,75 @@ def rack_rank_of(rack):
 
 
 def enumerate_homs_linear(diagram, rack):
-    """Independent linear-algebra cross-check of enumerate_homs for
-    module racks (acceptance criterion 7): the crossing relations are
-    linear in the labels, so propagate coefficient matrices along the
-    arc order, try every value of the free arcs and keep those that meet
-    the constraints of the remaining crossings.  Not a fast path: it filters |X|^free
-    candidates.  Same set of labelings as enumerate_homs.
+    """Independent linear cross-check of enumerate_homs for module racks
+    (acceptance criterion 7).  x > y = t(x) + s(y) and x >^{-1} y =
+    t^{-1}(x - s(y)) are additive in (x, y) together, so each arc's label
+    is kept as its values on the unit vectors of the free arcs (columns),
+    propagated column by column through rack.op and rack.op_inv along the
+    arc order.  Every value of the free arcs is then tried, and those
+    that meet the constraints of the remaining crossings are kept.  Not a
+    fast path: it filters |X|^free candidates.  Same set of labelings as
+    enumerate_homs.
     """
     if not isinstance(rack, TSRack):
         raise WrongStructureError("linear solving needs a module rack")
     group = rack.group
-    k = group.rank
-    t_mat = _map_matrix(rack, rack.t_map)
-    t_inv_mat = _map_matrix(rack, rack.t_inv_map)
-    s_mat = _map_matrix(rack, rack.s_map)
+    k, zero, moduli = group.rank, group.zero, group.moduli
+    units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    if not set(units) <= set(rack.carrier):
+        # a proper-subgroup carrier need not contain the unit vectors
+        raise WrongStructureError("linear path needs the full group as carrier")
 
     order = diagram.arc_order()
-    coeffs, constraints, pending = {}, [], list(diagram.crossings)
+    cols, constraints, pending = {}, [], list(diagram.crossings)
     free = 0
 
     def op(a, b, sign):
-        """Coefficients of a > b when sign > 0, else of a >^{-1} b."""
-        sb = _mmul(s_mat, coeffs[b], group)
-        if sign > 0:
-            return _madd(_mmul(t_mat, coeffs[a], group), sb, group)
-        return _mmul(t_inv_mat, _msub(coeffs[a], sb, group), group)
+        """Columns of a > b when sign > 0, else of a >^{-1} b."""
+        return list(map(rack.op if sign > 0 else rack.op_inv,
+                        cols[a], cols[b]))
 
-    while pending or len(coeffs) < len(order):
+    while pending or len(cols) < len(order):
         still = []
         for c in pending:
-            if c.over in coeffs and c.under_in in coeffs:
+            if c.over in cols and c.under_in in cols:
                 want = op(c.under_in, c.over, c.sign)
-                if c.under_out in coeffs:
-                    constraints.append(_msub(want, coeffs[c.under_out], group))
+                if c.under_out in cols:
+                    constraints.append(list(map(group.sub, want,
+                                                cols[c.under_out])))
                 else:
-                    coeffs[c.under_out] = want
-            elif c.over in coeffs and c.under_out in coeffs:
-                coeffs[c.under_in] = op(c.under_out, c.over, -c.sign)
+                    cols[c.under_out] = want
+            elif c.over in cols and c.under_out in cols:
+                cols[c.under_in] = op(c.under_out, c.over, -c.sign)
             else:
                 still.append(c)
         if len(still) == len(pending):
             # nothing was forced: the next unknown arc in order is free;
-            # shorter rows read as zero-padded (_apply zips)
-            for a in coeffs:
-                coeffs[a] = [row + [0] * k for row in coeffs[a]]
-            arc = next(a for a in order if a not in coeffs)
-            coeffs[arc] = [[0] * (k * free) + [int(r == c) for c in range(k)]
-                           for r in range(k)]
+            # shorter constraints read as zero-padded (value zips)
+            for column in cols.values():
+                column.extend([zero] * k)
+            arc = next(a for a in order if a not in cols)
+            cols[arc] = [zero] * (k * free) + units
             free += 1
         pending = still
 
+    def value(rows, xi):
+        return tuple(sum(map(mul, row, xi)) % m
+                     for row, m in zip(rows, moduli))
+
+    rows = {a: list(zip(*column)) for a, column in cols.items()}
+    checks = [list(zip(*column)) for column in constraints]
     results = []
     carrier = set(rack.carrier)
     for choice in product(rack.carrier, repeat=free):
         xi = [v for vec in choice for v in vec]
-        if any(_apply(mat, xi, group) != group.zero for mat in constraints):
+        if any(value(r, xi) != zero for r in checks):
             continue
-        labeling = {a: _apply(coeffs[a], xi, group) for a in coeffs}
+        labeling = {a: value(r, xi) for a, r in rows.items()}
         if not all(v in carrier for v in labeling.values()):
             raise ConsistencyError("linear solve left the carrier")
         results.append(labeling)
     return results
-
-
-def _map_matrix(rack, mapping):
-    """Matrix of an additive map from its values on the unit vectors."""
-    k = rack.group.rank
-    units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
-    if not all(e in mapping for e in units):
-        # a proper-subgroup carrier need not contain the unit vectors
-        raise WrongStructureError("linear path needs the full group as carrier")
-    return [[mapping[e][i] for e in units] for i in range(k)]
-
-
-def _mmul(m, a, group):
-    k = group.rank
-    width = len(a[0]) if a else 0
-    out = [[0] * width for _ in range(k)]
-    for i in range(k):
-        mi = group.moduli[i]
-        for l in range(k):
-            if m[i][l]:
-                for j in range(width):
-                    out[i][j] = (out[i][j] + m[i][l] * a[l][j]) % mi
-    return out
-
-
-def _madd(a, b, group):
-    return [[(x + y) % group.moduli[i] for x, y in zip(ra, rb)]
-            for i, (ra, rb) in enumerate(zip(a, b))]
-
-
-def _msub(a, b, group):
-    return [[(x - y) % group.moduli[i] for x, y in zip(ra, rb)]
-            for i, (ra, rb) in enumerate(zip(a, b))]
-
-
-def _apply(mat, xi, group):
-    return tuple(
-        sum(mij * xj for mij, xj in zip(row, xi)) % group.moduli[i]
-        for i, row in enumerate(mat)
-    )
 
 
 # -- invariants ------------------------------------------------------------
@@ -312,9 +281,10 @@ def s_enhanced(diagram, rack, split_fibers=True):
     subquandle sX (multiply every label by s) and record fiber sizes.
 
     Projections of valid labelings are valid sX-labelings, and each is
-    checked against the crossings and cuts; sX-labelings with empty fiber
-    are not counted (they would add spurious constant terms the fiber
-    structure does not contain).
+    checked against the crossings and cuts on X's own operation columns,
+    as sX is a subrack of X with the restricted operation; sX-labelings
+    with empty fiber are not counted (they would add spurious constant
+    terms the fiber structure does not contain).
 
     With split_fibers=True (the default, and the reading that reproduces
     the reference value tables) each fiber is further broken up along
@@ -337,10 +307,8 @@ def s_enhanced(diagram, rack, split_fibers=True):
         projected = tuple([s_of[i] for i in labels])
         for k in product(*ks):
             fibers.setdefault((k, projected), []).append(labels)
-    sub_tables = operation_columns(s_submodule(rack))[1]
     for k, projected in fibers:
-        g = [sub_tables[0].index.get(elements[i]) for i in projected]
-        if not holds(sub_tables, g, k, crossings, cuts):
+        if not holds(tables, projected, k, crossings, cuts):
             raise ConsistencyError(
                 "an s-projected labeling is not an sX-labeling")
     terms = Counter()

@@ -212,10 +212,8 @@ class _Columns(dict):
 
 def holds(tables, g, k, crossings, cuts):
     """Whether the slot labels g, element indices of the rack with
-    operation columns ``tables`` (None for a label outside it), hold at
-    every crossing and at every cut with k[i] kinks on component i."""
-    if None in g:
-        return False
+    operation columns ``tables``, hold at every crossing and at every cut
+    with k[i] kinks on component i."""
     for i, into, out in cuts:
         x = g[into]
         for _ in range(k[i]):

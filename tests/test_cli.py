@@ -285,3 +285,34 @@ class TestTable:
                            "--weak-order")
         assert code == 0
         assert "greater" in out or "less" in out
+
+
+class TestUnreadableFiles:
+    """A named file that cannot be read is a parse error (exit 2)."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\x81\xff\xfe\x00")
+        return {"missing": str(tmp_path / "missing.txt"),
+                "binary": str(binary), "directory": str(tmp_path)}
+
+    @pytest.mark.parametrize("which", ["missing", "binary", "directory"])
+    def test_table_links(self, paths, capsys, which):
+        code, out, err = run(capsys, "table", "--rack", Z4_SPEC,
+                             "--links", paths[which])
+        assert code == 2
+        assert out == "" and err.startswith("parse error: cannot read ")
+
+    @pytest.mark.parametrize("which", ["binary", "directory"])
+    def test_rack(self, paths, capsys, which):
+        code, _, err = run(capsys, "validate-rack", "--rack", paths[which])
+        assert code == 2
+        assert err.startswith("parse error: cannot read ")
+
+    @pytest.mark.parametrize("which", ["binary", "directory"])
+    def test_link(self, paths, capsys, which):
+        code, _, err = run(capsys, "invariant", "--rack", Z4_SPEC,
+                           "--link", paths[which])
+        assert code == 2
+        assert err.startswith("parse error: cannot read ")

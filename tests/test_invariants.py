@@ -21,8 +21,8 @@ from tsracks.invariants import (
     s_enhanced,
     writhe_enhanced,
 )
-from tsracks.modules import (enumerate_linear, make_linear, make_quotient,
-                             s_submodule, tsrack_from_spec)
+from tsracks.modules import (enumerate_linear, make_linear, make_module,
+                             make_quotient, s_submodule, tsrack_from_spec)
 from tsracks.polynomials import InvariantPolynomial, parse_u_polynomial
 from tsracks.racks import constant_action_rack, validate_rack
 
@@ -93,25 +93,44 @@ class TestEnumerateHoms:
         assert found_proper
 
 
+LINEAR_DIAGRAMS = [
+    TREFOIL, HOPF, parse_braid(2, [1] * 4),
+    parse_braid(3, [1, -2, 1, -2]), unknot_diagram(2),
+    parse_link("braid: 2: 1 1; unknots: 1"),
+]
+# the first four have > equal to >^{-1}; the last three do not, so they
+# tell the two operations apart at negative crossings
+LINEAR_RACKS = [
+    Z4_RACK, R4, make_quotient(2, [1, 1]), make_linear(6, 5, 2),
+    make_linear(5, 2, 0),
+    make_module([2, 4], [[1, 1], [2, 1]], [[0, 1], [2, 2]]),
+    make_quotient(2, [1, 0, 1]),
+]
+# Q16 (the last rack) over the trefoil and the Hopf link only: the other
+# four diagrams take half a minute
+LINEAR_CASES = [(r, d) for r in range(len(LINEAR_RACKS))
+                for d in range(len(LINEAR_DIAGRAMS))
+                if r < len(LINEAR_RACKS) - 1 or d < 2]
+
+
 class TestLinearFastPath:
-    @pytest.mark.parametrize("diagram", [
-        TREFOIL, HOPF, parse_braid(2, [1] * 4),
-        parse_braid(3, [1, -2, 1, -2]), unknot_diagram(2),
-        parse_link("braid: 2: 1 1; unknots: 1"),
-    ])
-    @pytest.mark.parametrize("rack", [
-        Z4_RACK, R4, make_quotient(2, [1, 1]), make_linear(6, 5, 2),
-    ])
-    def test_agrees_with_backtracking(self, diagram, rack):
-        for w, d in framed_family(diagram, rack.rack_rank()).items():
-            generic = enumerate_homs(d, rack)
-            linear = enumerate_homs_linear(d, rack)
+    @pytest.mark.parametrize("r, d", LINEAR_CASES,
+                             ids=["rack%d-diagram%d" % c for c in LINEAR_CASES])
+    def test_agrees_with_backtracking(self, r, d):
+        rack = LINEAR_RACKS[r]
+        for w, framed in framed_family(LINEAR_DIAGRAMS[d],
+                                       rack.rack_rank()).items():
+            generic = enumerate_homs(framed, rack)
+            linear = enumerate_homs_linear(framed, rack)
             assert sorted(tuple(sorted(f.items())) for f in generic) == \
                 sorted(tuple(sorted(f.items())) for f in linear)
 
     def test_needs_module(self):
         with pytest.raises(WrongStructureError):
             enumerate_homs_linear(TREFOIL, SIGMA12)
+        # a proper-subgroup carrier lacks the unit vectors
+        with pytest.raises(WrongStructureError, match="full group"):
+            enumerate_homs_linear(TREFOIL, s_submodule(R4))
 
 
 class TestCountingInvariant:
@@ -244,9 +263,7 @@ class TestSEnhanced:
         # the operation columns, and so the labelings, are built before s
         # is changed at 1; only the projection reads the wrong value
         rack = make_linear(4, 3, 2)
-        sub = s_submodule(rack)
         counting_invariant(TREFOIL, rack)
-        monkeypatch.setattr(invariants, "s_submodule", lambda _: sub)
         monkeypatch.setitem(rack.s_map, (1,), wrong)
         with pytest.raises(ConsistencyError):
             s_enhanced(load_corpus()["L4a1"], rack)

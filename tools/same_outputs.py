@@ -4,10 +4,12 @@
 For each rack spec and each entry of the checkout's corpus it records the
 counting invariant, the writhe-enhanced polynomial, the additive
 polynomial and multiset record, and the s-enhanced polynomial and
-multiset record in both split_fibers readings.  An invariant that raises
-is recorded as its exception class and message.  The output is JSON with
-sorted keys, so two checkouts that compute the same values give
-byte-identical files:
+multiset record in both split_fibers readings.  For the entries in
+LINEAR_ENTRIES it also records the labelings that the linear cross-check
+enumerate_homs_linear gives on each diagram of framed_family, in the
+order it returns them.  An invariant that raises is recorded as its
+exception class and message.  The output is JSON with sorted keys, so
+two checkouts that compute the same values give byte-identical files:
 
     python3 tools/same_outputs.py OLD_CHECKOUT SPEC... > old.json
     python3 tools/same_outputs.py NEW_CHECKOUT SPEC... > new.json
@@ -37,6 +39,10 @@ def import_checkout(root):
     return tsracks
 
 
+# small enough for the linear cross-check with Q16: L4a1 takes seconds
+LINEAR_ENTRIES = ("3_1", "4_1", "5_1", "L2a1")
+
+
 def outcome(fn, *args, **kwargs):
     """The value of fn as JSON-ready data, or the exception it raises."""
     try:
@@ -46,7 +52,16 @@ def outcome(fn, *args, **kwargs):
     if isinstance(value, tuple):
         poly, multiset = value
         return [str(poly), multiset.to_record()]
-    return value if isinstance(value, int) else str(value)
+    return value if isinstance(value, (int, list)) else str(value)
+
+
+def linear_labelings(ts, diagram, rack):
+    """Per framing, the ordered labelings of enumerate_homs_linear as
+    [arc, value] pairs."""
+    family = ts.diagrams.framed_family(diagram, rack.rack_rank())
+    return [[list(w), [[[a, list(x)] for a, x in f.items()]
+                       for f in ts.invariants.enumerate_homs_linear(d, rack)]]
+            for w, d in family.items()]
 
 
 def dump(ts, specs):
@@ -62,6 +77,9 @@ def dump(ts, specs):
             "s_split": outcome(inv.s_enhanced, d, rack, split_fibers=True),
             "s_plain": outcome(inv.s_enhanced, d, rack, split_fibers=False),
         } for name, d in corpus.items()}
+        for name in LINEAR_ENTRIES:
+            out[text][name]["linear"] = outcome(linear_labelings, ts,
+                                                corpus[name], rack)
     return out
 
 
