@@ -33,7 +33,7 @@ from .invariants import (
     writhe_enhanced,
 )
 from .modules import TSRack, tsrack_from_spec, tsrack_iso_check
-from .polynomials import order_compare
+from .polynomials import order_compare, parse_u_polynomial
 from .racks import find_isomorphism, rack_from_text, rack_rank
 
 CACHE_ENV = "TSRACKS_CACHE_DIR"
@@ -51,11 +51,12 @@ def _read(path):
 
 class _RackSource:
     def __init__(self, text):
-        self.text = text.strip()
         self.tsrack = None
         self.matrix_rack = None
-        body = self.text
-        if os.path.exists(body) and not body.startswith("{"):
+        body = text.strip()
+        # matrix text starts with its size; anything else names a file
+        if not body.startswith("{") and (os.path.exists(body)
+                                         or not body[:1].isdigit()):
             body = _read(body).strip()
         if body.startswith("{"):
             try:
@@ -63,7 +64,7 @@ class _RackSource:
             except json.JSONDecodeError as exc:
                 raise ParseError("bad rack spec JSON: %s" % exc) from exc
             self.tsrack = tsrack_from_spec(spec)
-            self.spec = self.tsrack.spec if self.tsrack.spec else spec
+            self.spec = self.tsrack.spec
         else:
             self.matrix_rack = rack_from_text(body)
             self.spec = {"type": "matrix", "matrix":
@@ -307,19 +308,16 @@ def cmd_table(args):
     width = max((len(v) for v, _ in rows), default=0)
     for value, names in rows:
         print("%-*s | %s" % (width, value, ", ".join(sorted(names))))
-    if args.strict_order is not None and len(rows) > 1:
+    if args.weak_order and len(rows) > 1:
         print()
-        print("ordering obstructions (%s reading):"
-              % ("strict" if args.strict_order else "weak"))
-        from .polynomials import parse_u_polynomial
-
+        print("ordering obstructions (weak reading):")
         for i, (va, na) in enumerate(rows):
             for vb, nb in rows[i + 1:]:
                 try:
                     pa, pb = parse_u_polynomial(va), parse_u_polynomial(vb)
                 except ValueError:
                     continue
-                rel = order_compare(pa, pb, strict=args.strict_order)
+                rel = order_compare(pa, pb)
                 print("  {%s} vs {%s}: %s"
                       % (", ".join(sorted(na)), ", ".join(sorted(nb)), rel))
     for name, error in failures:
@@ -365,12 +363,9 @@ def build_parser():
     p.add_argument("--links", required=True,
                    help="file with one 'name spec' per line")
     p.add_argument("--kind", choices=KINDS, default="additive")
-    p.add_argument("--strict-order", action="store_true", default=None,
-                   help="report ordering obstructions between rows using "
-                        "the strict coefficientwise reading")
-    p.add_argument("--weak-order", dest="strict_order", action="store_false",
-                   help="report ordering obstructions using the weak "
-                        "(>= everywhere, > somewhere) reading")
+    p.add_argument("--weak-order", action="store_true",
+                   help="report ordering obstructions between rows "
+                        "(>= everywhere, > somewhere)")
     p.set_defaults(func=cmd_table)
     return parser
 

@@ -293,7 +293,8 @@ def s_enhanced(diagram, rack, split_fibers=True):
     toward the last component's bucket, and each bucket contributes its
     own u^size term.  For knots this coincides with the plain fiber count.
     A fiber is a coset of the labelings with labels in ker s, so the
-    bucket sizes do not depend on which lift is least.
+    bucket sizes do not depend on which lift is least; they do depend on
+    the component numbering, so on links this reading is no invariant.
     With split_fibers=False every fiber contributes a single term
     u^{|fiber|}.
     """

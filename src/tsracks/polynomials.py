@@ -123,29 +123,18 @@ def parse_u_polynomial(text):
     return InvariantPolynomial(terms)
 
 
-def order_compare(p, q, strict=False):
+def order_compare(p, q):
     """Coefficientwise comparison for the knot-ordering obstruction.
 
-    Default reading: p beats q when every coefficient of p is >= the
-    matching coefficient of q with strict inequality somewhere.  The
-    ``strict`` switch demands strict inequality at every exponent in the
-    union of supports instead (the narrower reading; under it nothing with
-    a shared coefficient ever compares).
+    p is "greater" when every coefficient of p is >= the matching
+    coefficient of q and one is >.  If K >= K' then the value of K is >=
+    that of K' coefficientwise, so only "less" or "incomparable"
+    obstructs K >= K'.
 
     Returns "greater", "less", "equal" or "incomparable".
     """
     keys = set(p._terms) | set(q._terms)
-    if not keys:
-        return "equal"
-    diffs = [(p._terms.get(k, 0) - q._terms.get(k, 0)) for k in sorted(keys)]
-    if strict:
-        if all(d > 0 for d in diffs):
-            return "greater"
-        if all(d < 0 for d in diffs):
-            return "less"
-        if all(d == 0 for d in diffs):
-            return "equal"
-        return "incomparable"
+    diffs = [(p._terms.get(k, 0) - q._terms.get(k, 0)) for k in keys]
     if all(d == 0 for d in diffs):
         return "equal"
     if all(d >= 0 for d in diffs):

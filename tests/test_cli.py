@@ -247,6 +247,14 @@ class TestTable:
         assert info.value.code == 2
         assert "--format" in capsys.readouterr().err
 
+    def test_strict_order_is_not_an_option(self, tmp_path, capsys):
+        path = self.links_file(tmp_path, ["3_1 braid: 2: 1 1 1"])
+        with pytest.raises(SystemExit) as info:
+            main(["table", "--rack", Z4_SPEC, "--links", path,
+                  "--strict-order"])
+        assert info.value.code == 2
+        assert "--strict-order" in capsys.readouterr().err
+
     def test_grouping_independent_of_order(self, tmp_path, capsys):
         lines = ["a braid: 2: 1 1 1", "b braid: 1:", "c braid: 2: 1 1 1 1 1"]
         path1 = self.links_file(tmp_path, lines)
@@ -304,7 +312,7 @@ class TestUnreadableFiles:
         assert code == 2
         assert out == "" and err.startswith("parse error: cannot read ")
 
-    @pytest.mark.parametrize("which", ["binary", "directory"])
+    @pytest.mark.parametrize("which", ["missing", "binary", "directory"])
     def test_rack(self, paths, capsys, which):
         code, _, err = run(capsys, "validate-rack", "--rack", paths[which])
         assert code == 2

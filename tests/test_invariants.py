@@ -1,6 +1,7 @@
 import json
 import time
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -9,7 +10,8 @@ import tsracks.labelings as labelings
 
 from tsracks.atlas import load_corpus, load_corpus_specs
 from tsracks.cli import CACHE_ENV, main
-from tsracks.diagrams import framed_family, parse_braid, parse_link, parse_pd, unknot_diagram
+from tsracks.diagrams import (LinkDiagram, framed_family, parse_braid,
+                              parse_link, parse_pd, unknot_diagram)
 from tsracks.errors import ConsistencyError, ValidationError, WrongStructureError
 from tsracks.invariants import (
     additive_enhanced,
@@ -391,6 +393,27 @@ class TestDiagramIndependence:
         a, _ = s_enhanced(HOPF, R4)
         b, _ = s_enhanced(pd, R4)
         assert a == b
+
+    @pytest.mark.parametrize("split_fibers", [
+        False,
+        pytest.param(True, marks=pytest.mark.xfail(
+            strict=True, reason="the split reading depends on how the "
+                                "components are numbered (FOUND in "
+                                "CHANGES.md)")),
+    ], ids=["plain", "split"])
+    def test_s_enhanced_ignores_component_order(self, split_fibers):
+        # Hopf link and a split unknot, components numbered in all six
+        # orders; the split reading buckets lifts by component number
+        diagram = parse_link("braid: 2: 1 1; unknots: 1")
+        q16 = make_quotient(2, [1, 0, 1])
+        values = set()
+        for order in permutations(diagram.component_markers()):
+            renumbered = LinkDiagram(diagram.edge_crossings,
+                                     diagram.free_loops,
+                                     component_markers=order)
+            poly, _ = s_enhanced(renumbered, q16, split_fibers=split_fibers)
+            values.add(str(poly))
+        assert len(values) == 1
 
     def test_corpus_l4a1_is_torus_link(self):
         corpus = load_corpus()

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from tsracks.diagrams import parse_link
 from tsracks.errors import ConsistencyError
+from tsracks.invariants import additive_enhanced
+from tsracks.modules import make_linear
 from tsracks.polynomials import InvariantPolynomial, order_compare, parse_u_polynomial
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -113,12 +116,14 @@ class TestOrderCompare:
     def test_incomparable(self):
         assert order_compare(upoly(Z12_L6A1), upoly(Z12_L6A4)) == "incomparable"
 
-    def test_strict_mode_rejects_shared_coefficients(self):
-        # the chain examples share coefficients at u and u^4, so the
-        # narrower literal reading cannot order them
-        assert order_compare(upoly(Z12_31), upoly(Z12_41), strict=True) \
-            == "incomparable"
-        assert order_compare(upoly("2u + 2u^2"), upoly("u + u^2"),
-                             strict=True) == "greater"
-        assert order_compare(upoly(Z12_31), upoly(Z12_31), strict=True) \
-            == "equal"
+    @pytest.mark.parametrize("word", ["1 1 1 2 2 2", "1 1 1 -2 -2 -2"],
+                             ids=["granny", "square"])
+    def test_connected_sum_beats_its_factor(self, word):
+        # K#J >= K, as every colouring of K extends to K#J; the values
+        # share the coefficients of u, u^2 and u^4
+        z12 = make_linear(12, 11, 2)
+        total, _ = additive_enhanced(parse_link("braid: 3: " + word), z12)
+        trefoil, _ = additive_enhanced(parse_link("braid: 2: 1 1 1"), z12)
+        assert str(total) == Z12_818
+        assert str(trefoil) == Z12_31
+        assert order_compare(total, trefoil) == "greater"

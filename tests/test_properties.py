@@ -1,22 +1,29 @@
 """Invariants of the link, not of the diagram: property tests over random
 braid words.
 
-Each example draws a braid word on 2 or 3 strands and checks that the
-additive enhancement, polynomial and multiset, with Q16 and with Z12 is
-the same on three other diagrams of its closure: the diagram re-read from
-its PD code (pd_code, then parse_link, which hands it to parse_pd), the
-word conjugated by a generator, and a Markov stabilisation onto one more
-strand.  Runs repeat: hypothesis draws from a fixed seed and keeps no
-example database.
+Each example draws a braid word on 2 or 3 strands and checks that an
+invariant, polynomial and multiset, is the same on three other diagrams
+of its closure: the diagram re-read from its PD code (pd_code, then
+parse_link, which hands it to parse_pd), the word conjugated by a
+generator, and a Markov stabilisation onto one more strand.  The
+invariants are the additive enhancement with Q16 and with Z12, and the
+s-enhancement with whole fibers (split_fibers=False) with R4 and with
+Q16.  The default split reading is left out: it depends on how the
+components are numbered, which conjugation can change (see
+test_invariants.py, test_s_enhanced_ignores_component_order).  Runs
+repeat: hypothesis draws from a fixed seed and keeps no example
+database.
 """
 
 from hypothesis import given, seed, settings, strategies as st
 
 from tsracks.diagrams import parse_braid, parse_link, pd_code
-from tsracks.invariants import additive_enhanced
+from tsracks.invariants import additive_enhanced, s_enhanced
 from tsracks.modules import make_linear, make_quotient
 
-RACKS = {"Q16": make_quotient(2, [1, 0, 1]), "Z12": make_linear(12, 11, 2)}
+Q16 = make_quotient(2, [1, 0, 1])
+RACKS = {"Q16": Q16, "Z12": make_linear(12, 11, 2)}
+S_RACKS = {"R4": make_linear(4, 3, 2), "Q16": Q16}
 
 
 @st.composite
@@ -29,18 +36,35 @@ def moves(draw):
             draw(st.sampled_from((1, -1))))
 
 
-@seed(2010)
-@settings(database=None, max_examples=80, deadline=None)
-@given(moves())
-def test_additive_enhanced_survives_diagram_moves(case):
+def diagrams(case):
+    """The drawn diagram and the other diagrams of its closure."""
     strands, word, g, sign = case
     diagram = parse_braid(strands, word)
-    others = {
+    return diagram, {
         "PD round trip": parse_link(pd_code(diagram)),
         "conjugated": parse_braid(strands, [g] + word + [-g]),
         "stabilised": parse_braid(strands + 1, word + [sign * strands]),
     }
+
+
+@seed(2010)
+@settings(database=None, max_examples=80, deadline=None)
+@given(moves())
+def test_additive_enhanced_survives_diagram_moves(case):
+    diagram, others = diagrams(case)
     for rack_name, rack in RACKS.items():
         want = additive_enhanced(diagram, rack)
         for move, other in others.items():
             assert additive_enhanced(other, rack) == want, (rack_name, move)
+
+
+@seed(2010)
+@settings(database=None, max_examples=80, deadline=None)
+@given(moves())
+def test_plain_s_enhanced_survives_diagram_moves(case):
+    diagram, others = diagrams(case)
+    for rack_name, rack in S_RACKS.items():
+        want = s_enhanced(diagram, rack, split_fibers=False)
+        for move, other in others.items():
+            assert s_enhanced(other, rack, split_fibers=False) == want, \
+                (rack_name, move)

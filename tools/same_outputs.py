@@ -4,12 +4,15 @@
 For each rack spec and each entry of the checkout's corpus it records the
 counting invariant, the writhe-enhanced polynomial, the additive
 polynomial and multiset record, and the s-enhanced polynomial and
-multiset record in both split_fibers readings.  For the entries in
-LINEAR_ENTRIES it also records the labelings that the linear cross-check
-enumerate_homs_linear gives on each diagram of framed_family, in the
-order it returns them.  An invariant that raises is recorded as its
-exception class and message.  The output is JSON with sorted keys, so
-two checkouts that compute the same values give byte-identical files:
+multiset record in both split_fibers readings.  Among the entries whose
+additive enhancement did not raise, it records the order_compare
+relation of each additive polynomial to that of every entry later in
+name order.  For the entries in LINEAR_ENTRIES it also records the
+labelings that the linear cross-check enumerate_homs_linear gives on
+each diagram of framed_family, in the order it returns them.  An
+invariant that raises is recorded as its exception class and message.
+The output is JSON with sorted keys, so two checkouts that compute the
+same values give byte-identical files:
 
     python3 tools/same_outputs.py OLD_CHECKOUT SPEC... > old.json
     python3 tools/same_outputs.py NEW_CHECKOUT SPEC... > new.json
@@ -65,7 +68,7 @@ def linear_labelings(ts, diagram, rack):
 
 
 def dump(ts, specs):
-    inv = ts.invariants
+    inv, pol = ts.invariants, ts.polynomials
     corpus = ts.atlas.load_corpus()
     out = {}
     for text in specs:
@@ -77,6 +80,12 @@ def dump(ts, specs):
             "s_split": outcome(inv.s_enhanced, d, rack, split_fibers=True),
             "s_plain": outcome(inv.s_enhanced, d, rack, split_fibers=False),
         } for name, d in corpus.items()}
+        additive = {name: pol.parse_u_polynomial(rec["additive"][0])
+                    for name, rec in out[text].items()
+                    if isinstance(rec["additive"], list)}
+        for a, p in additive.items():
+            out[text][a]["order"] = {b: pol.order_compare(p, q)
+                                    for b, q in additive.items() if b > a}
         for name in LINEAR_ENTRIES:
             out[text][name]["linear"] = outcome(linear_labelings, ts,
                                                 corpus[name], rack)
