@@ -373,6 +373,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.verb == "table" and args.weak_order and args.kind == "writhe":
+        parser.error("--weak-order compares u-polynomials, and --kind "
+                     "writhe gives q-polynomials")
     try:
         return args.func(args)
     except ParseError as exc:

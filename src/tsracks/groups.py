@@ -11,16 +11,19 @@ from itertools import product
 from math import gcd, prod
 from operator import add, mod, sub
 
-from .errors import ConsistencyError, MalformedElementError, NotASubgroupError
+from .errors import (ConsistencyError, MalformedElementError,
+                     NotASubgroupError, ValidationError)
 
 
 class AbelianGroup:
     """Direct sum of cyclic groups Z_{m_1} + ... + Z_{m_k}."""
 
     def __init__(self, moduli):
-        moduli = tuple(int(m) for m in moduli)
-        if not moduli or any(m < 2 for m in moduli):
-            raise ValueError("moduli must be a nonempty list of integers >= 2")
+        moduli = tuple(moduli)
+        if not moduli or not all(isinstance(m, int) and m >= 2
+                                 for m in moduli):
+            raise ValidationError(
+                "moduli must be a nonempty list of integers >= 2")
         self.moduli = moduli
         self.rank = len(moduli)
         self.order = prod(moduli)

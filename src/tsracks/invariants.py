@@ -21,7 +21,7 @@ from .groups import census_factors
 # enumerate_homs is named here too, where callers and the benchmark's
 # tracer find it
 from .labelings import (_Columns, enumerate_homs, framed_labelings, holds,
-                        operation_columns)
+                        labeling_orbits, operation_columns)
 from .modules import TSRack
 from .polynomials import InvariantPolynomial
 from .racks import rack_rank
@@ -150,22 +150,27 @@ class EnhancedMultiset:
 
 
 def counting_invariant(diagram, rack):
-    """Total labelings over a complete period of framings (Z_N)^c."""
-    _, found = framed_labelings(diagram, rack, rack_rank_of(rack))
-    return sum(prod(map(len, ks)) for _, ks in found)
+    """Total labelings over a complete period of framings (Z_N)^c.  The
+    kernel finds one labeling per orbit of the translations of a
+    (t,s)-rack (labelings.labeling_orbits), and each orbit has one
+    labeling per shift, all with the same kink counts."""
+    _, found, shifts = labeling_orbits(diagram, rack, rack_rank_of(rack))
+    return len(shifts) * sum(prod(map(len, ks)) for _, ks in found)
 
 
 def writhe_enhanced(diagram, rack):
     """Labeling counts kept separate per framing vector, as coefficients
     of q_1^{w_1}...q_c^{w_c}; the framing with k_i kinks on component i
-    is w_i = (k_i + writhe_i) mod N."""
+    is w_i = (k_i + writhe_i) mod N.  As counting_invariant, each labeling
+    found stands for one per shift."""
     period = rack_rank_of(rack)
-    _, found = framed_labelings(diagram, rack, period)
+    _, found, shifts = labeling_orbits(diagram, rack, period)
     base = diagram.writhe_vector()
     terms = Counter()
     for ks, count in Counter(ks for _, ks in found).items():
         for k in product(*ks):
-            terms[0, tuple((a + b) % period for a, b in zip(k, base))] += count
+            terms[0, tuple((a + b) % period for a, b in zip(k, base))] += (
+                count * len(shifts))
     return InvariantPolynomial(terms)
 
 

@@ -10,9 +10,18 @@ compiled once with a cut at each of those points (see _cut_open), and one
 search finds every labeling of the cut-open diagram once, with the kink
 counts k for which it holds (see framed_labelings).  The search runs on
 element indices through the rack's operation columns.
+
+For a (t,s)-rack, each c with (t+s)c = c makes x -> x + c a rack
+automorphism that commutes with pi, since (x+c) > (y+c) = x > y + (t+s)c;
+these c form a submodule F that acts freely on the labelings of every
+framing and keeps their kink counts.  So the search gives its first seed
+one element of each coset of F only, and finds one labeling per orbit
+(see labeling_orbits).  The leaf limit still counts |X| values per seed:
+it bounds the plan, and so the inputs refused, for every rack alike.
 """
 
 from .errors import ValidationError
+from .modules import TSRack
 
 # the most leaves a labeling plan may have; larger searches are refused
 LEAF_LIMIT = 10 ** 8
@@ -20,7 +29,8 @@ LEAF_LIMIT = 10 ** 8
 
 def enumerate_homs(diagram, rack):
     """All labelings of the diagram by the rack, as dicts arc -> element:
-    the labeling kernel with no cuts.  Deterministic output order."""
+    the labeling kernel with no cuts.  Deterministic output order: those
+    found by the search, then their moves by each further shift."""
     order = diagram.arc_order()
     elements = operation_columns(rack)[0]
     return [{a: elements[i] for a, i in zip(order, labels)}
@@ -28,12 +38,20 @@ def enumerate_homs(diagram, rack):
 
 
 def framed_labelings(diagram, rack, period):
-    """The one labeling kernel: the labelings of all framings in
-    (Z_period)^c by one search, as (_cut_open(diagram, period), found).
-    found lists (labels, ks): element indices per slot and, per
-    component, the k with out = pi^k(in) at its cut; the labeling belongs
-    to every framing in the product of those k-sets.  Plans over
-    LEAF_LIMIT leaves are refused."""
+    """The labelings of all framings in (Z_period)^c, as
+    (_cut_open(diagram, period), found): those of labeling_orbits, each
+    moved by every shift.  found lists (labels, ks): element indices per
+    slot and, per component, the k with out = pi^k(in) at its cut; the
+    labeling belongs to every framing in the product of those k-sets."""
+    cut, found, shifts = labeling_orbits(diagram, rack, period)
+    return cut, [(tuple([shift[i] for i in labels]), ks)
+                 for shift in shifts for labels, ks in found]
+
+
+def labeling_orbits(diagram, rack, period):
+    """The one labeling search, as (cut, found, shifts) with cut and found
+    as in framed_labelings but one labeling found per orbit of the shifts
+    (see translations).  Plans over LEAF_LIMIT leaves are refused."""
     cut = _cut_open(diagram, period)
     comps, crossings, cuts = cut
     elements, tables = operation_columns(rack)
@@ -55,6 +73,7 @@ def framed_labelings(diagram, rack, period):
             for place, y in enumerate(cycle):
                 orbits[y] = cycle, place, classes
     seeds = range(len(elements))
+    shifts, firsts = translations(rack)
     labels = [0] * len(comps)
     ks = [(0,)] * diagram.component_count
     found = []
@@ -64,7 +83,8 @@ def framed_labelings(diagram, rack, period):
             found.append((tuple(labels), tuple(ks)))
             return
         (dst, src), steps, checks, ties = plan[stage]
-        for value in orbits[labels[src]][0] if src is not None else seeds:
+        for value in (orbits[labels[src]][0] if src is not None
+                      else seeds if stage else firsts):
             labels[dst] = value
             for kind, over, s, d in steps:
                 labels[d] = tables[kind][labels[over]][labels[s]]
@@ -82,7 +102,7 @@ def framed_labelings(diagram, rack, period):
                     run(stage + 1)
 
     run(0)
-    return cut, found
+    return cut, found, shifts
 
 
 def _cut_open(diagram, period):
@@ -195,6 +215,27 @@ def operation_columns(rack):
                    for op in ops]
         rack._label_columns = elements, tables
     return rack._label_columns
+
+
+def translations(rack):
+    """(shifts, firsts), kept on the rack: the index columns of x -> x + c
+    for c in F = ker(t+s-1) of a TSRack, the identity alone for any other
+    rack, identity first; and the least element index of each coset."""
+    if not hasattr(rack, "_label_shifts"):
+        elements, tables = operation_columns(rack)
+        if isinstance(rack, TSRack):
+            add, index = rack.group.add, tables[0].index
+            shifts = [[index[add(x, c)] for x in elements]
+                      for c in elements if rack.ts_map[c] == c]
+        else:
+            shifts = [list(range(len(elements)))]
+        firsts, seen = [], set()
+        for x in range(len(elements)):
+            if x not in seen:
+                firsts.append(x)
+                seen.update(shift[x] for shift in shifts)
+        rack._label_shifts = shifts, firsts
+    return rack._label_shifts
 
 
 class _Columns(dict):

@@ -510,18 +510,44 @@ def tsrack_from_spec(spec):
       {"type": "linear", "n": N, "t": T, "s": S}
       {"type": "quotient", "n": N, "p": [c0, c1, ...]}   (ascending)
       {"type": "module", "moduli": [...], "t": [[...]], "s": [[...]]}
+    Every number must be an integer (not a bool) and each module matrix
+    square of the group's rank; that is checked before anything is built.
     """
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValidationError("rack spec must be an object with a 'type'")
     kind = spec["type"]
     try:
         if kind == "linear":
-            return make_linear(spec["n"], spec["t"], spec["s"])
+            return make_linear(*(_integer(spec[f], f) for f in "nts"))
         if kind == "quotient":
-            return make_quotient(spec["n"], spec["p"])
+            return make_quotient(_integer(spec["n"], "n"),
+                                 _integers(spec["p"], "p"))
         if kind == "module":
+            rank = len(_integers(spec["moduli"], "moduli"))
+            for f in "ts":
+                m = spec[f]
+                if not isinstance(m, list) or len(m) != rank or any(
+                        len(_integers(row, f)) != rank for row in m):
+                    raise ValidationError("%s must be a %d x %d matrix"
+                                          % (f, rank, rank))
             return make_module(spec["moduli"], spec["t"], spec["s"],
                                spec=spec)
     except KeyError as exc:
         raise ValidationError("rack spec is missing field %s" % exc) from exc
     raise ValidationError("unknown rack spec type %r" % (kind,))
+
+
+def _integer(value, name):
+    """value, if it is an integer and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError("%s must be an integer, not %r" % (name, value))
+    return value
+
+
+def _integers(value, name):
+    """value, if it is a list of integers."""
+    if not isinstance(value, list):
+        raise ValidationError("%s must be a list, not %r" % (name, value))
+    for x in value:
+        _integer(x, name)
+    return value

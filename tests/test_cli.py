@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from tsracks.cli import main
+from tsracks.cli import CACHE_ENV, KINDS, main
 
 Z12_SPEC = '{"type":"linear","n":12,"t":11,"s":2}'
 Z4_SPEC = '{"type":"linear","n":4,"t":1,"s":2}'
@@ -293,6 +294,123 @@ class TestTable:
                            "--weak-order")
         assert code == 0
         assert "greater" in out or "less" in out
+
+
+    def test_weak_order_with_writhe_is_a_usage_error(self, tmp_path,
+                                                     capsys):
+        # writhe rows are q-polynomials, which the weak reading cannot
+        # compare; the combination is refused before any rack is built
+        path = self.links_file(tmp_path, ["3_1 braid: 2: 1 1 1",
+                                          "4_1 " + FIG8_PD])
+        with pytest.raises(SystemExit) as info:
+            main(["table", "--rack", "banana", "--links", path,
+                  "--kind", "writhe", "--weak-order"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--weak-order" in captured.err and "writhe" in captured.err
+
+
+class TestMalformedRackSpecs:
+    """A malformed rack spec exits 2 or 3 with a message, never with a
+    traceback."""
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "module", "moduli": [0], "t": [[1]], "s": [[0]]},
+        {"type": "linear", "n": "x", "t": 1, "s": 0},
+        {"type": "linear", "n": 4, "t": None, "s": 2},
+        {"type": "module", "moduli": [4], "t": 3, "s": [[0]]},
+        {"type": "linear", "n": 4.9, "t": 1.2, "s": 2},
+    ], ids=["zero modulus", "string n", "null t", "integer matrix",
+            "non-integral numbers"])
+    def test_named_case(self, capsys, spec):
+        code, out, err = run(capsys, "validate-rack", "--rack",
+                             json.dumps(spec))
+        assert code == 3
+        assert out == "" and err.startswith("validation error: ")
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "linear", "n": 4, "t": True, "s": 2},
+        {"type": "module", "moduli": [2, 4], "t": [[1, 1], [2]],
+         "s": [[0, 1], [2, 2]]},
+        {"type": "module", "moduli": [2, 4], "t": [[1, 1], [2, 1]],
+         "s": [[0, 1], [2, 2.5]]},
+        {"type": "quotient", "n": 2, "p": [1, 0, "1"]},
+    ], ids=["bool", "short row", "fractional entry", "string coefficient"])
+    def test_types_are_checked(self, capsys, spec):
+        code, _, err = run(capsys, "validate-rack", "--rack",
+                           json.dumps(spec))
+        assert code == 3
+        assert err.startswith("validation error: ")
+
+    def test_fuzzed_specs(self, capsys, monkeypatch):
+        # seeded: mutations of small valid specs, run through two verbs
+        monkeypatch.delenv(CACHE_ENV, raising=False)
+        rng = random.Random(2026)
+        bad = []
+        for _ in range(800):
+            spec = json.dumps(fuzzed_spec(rng))
+            argv = rng.choice([
+                ["validate-rack", "--rack", spec],
+                ["invariant", "--rack", spec, "--link", "braid: 2: 1 1 1",
+                 "--kind", rng.choice(KINDS)]])
+            try:
+                code = main(argv)
+            except Exception as exc:  # an escape, reported below
+                code = repr(exc)
+            err = capsys.readouterr().err
+            if code not in (0, 2, 3) or "Traceback" in err:
+                bad.append((argv, code, err))
+        assert bad == []
+
+
+def fuzzed_value(rng, depth=0):
+    """A small JSON value of any type."""
+    kinds = ["int", "float", "bool", "null", "str", "list", "dict"]
+    kind = rng.choice(kinds if depth < 2 else kinds[:5])
+    if kind == "int":
+        return rng.randint(-3, 9)
+    if kind == "float":
+        return rng.choice([0.5, 2.0, 4.9, -1.5])
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "null":
+        return None
+    if kind == "str":
+        return rng.choice(["", "x", "3", "linear"])
+    if kind == "list":
+        return [fuzzed_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    return {"type": fuzzed_value(rng, depth + 1)}
+
+
+def fuzzed_spec(rng):
+    """A valid linear, quotient or module spec of order at most 16, with
+    up to three of its fields, rows or entries replaced by fuzzed values
+    or dropped."""
+    kind = rng.choice(["linear", "quotient", "module"])
+    if kind == "linear":
+        spec = {"n": rng.randint(2, 9), "t": rng.randint(-2, 9),
+                "s": rng.randint(-2, 9)}
+    elif kind == "quotient":
+        spec = {"n": rng.randint(2, 3),
+                "p": [rng.randint(0, 2)] + [0] * rng.randint(0, 1) + [1]}
+    else:
+        moduli = [rng.randint(2, 4) for _ in range(rng.randint(1, 2))]
+        spec = {"moduli": moduli}
+        for f in "ts":
+            spec[f] = [[rng.randint(0, 3) for _ in moduli] for _ in moduli]
+    spec["type"] = kind
+    for _ in range(rng.randint(0, 3)):
+        field = rng.choice(sorted(spec))
+        target, key = spec, field
+        while isinstance(target[key], list) and target[key] and \
+                rng.random() < 0.6:
+            target, key = target[key], rng.randrange(len(target[key]))
+        if rng.random() < 0.2 and isinstance(target, dict):
+            del target[key]
+        else:
+            target[key] = fuzzed_value(rng)
+    return spec
 
 
 class TestUnreadableFiles:

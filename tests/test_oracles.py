@@ -17,10 +17,12 @@ from test_tsrack_validation import GROUPS, _cases, _constructor_outcome
 from tsracks.atlas import load_corpus
 from tsracks.diagrams import add_kink, framed_family, parse_braid, unknot_diagram
 from tsracks.invariants import (_image, _span_weight, additive_enhanced,
-                                enumerate_homs, image_subrack, rack_rank_of)
-from tsracks.labelings import framed_labelings, operation_columns
-from tsracks.modules import (enumerate_linear, make_linear, make_module,
-                             make_quotient, s_submodule)
+                                counting_invariant, enumerate_homs,
+                                image_subrack, rack_rank_of, writhe_enhanced)
+from tsracks.labelings import (framed_labelings, operation_columns,
+                               translations)
+from tsracks.modules import (TSRack, enumerate_linear, make_linear,
+                             make_module, make_quotient, s_submodule)
 from tsracks.racks import conjugation_rack, constant_action_rack
 
 TESTS = Path(__file__).resolve().parent
@@ -106,6 +108,95 @@ def mismatches_under_optimize(name):
 def test_labeling_kernel_matches_oracle_under_optimize():
     # the kernel's rules are code, not asserts, so python -O keeps them
     assert mismatches_under_optimize("labeling_mismatches") == "[]"
+
+
+def count_mismatches():
+    """Every (rack, diagram, invariant) of labeling_cases where
+    counting_invariant, or a coefficient of writhe_enhanced, disagrees
+    with labeling_oracle's count of the diagrams of framed_family: their
+    sum, and the count of each framing.  Both invariants count one
+    labeling per orbit of the translations and weigh it by the orbit's
+    size.  No assert, so it also runs under python -O."""
+    bad = []
+    for rack_name, rack, name, diagram in labeling_cases():
+        family = framed_family(diagram, rack_rank_of(rack))
+        counts = {w: len(labeling_oracle(d, rack)) for w, d in family.items()}
+        if counting_invariant(diagram, rack) != sum(counts.values()):
+            bad.append((rack_name, name, "count"))
+        coefficients = {q: c for _, q, c in
+                        writhe_enhanced(diagram, rack).terms()}
+        if coefficients != {w: c for w, c in counts.items() if c}:
+            bad.append((rack_name, name, "writhe"))
+    return bad
+
+
+def test_count_and_writhe_match_oracle():
+    assert count_mismatches() == []
+
+
+def test_count_and_writhe_match_oracle_under_optimize():
+    # the orbit weights are code, not asserts, so python -O keeps them
+    assert mismatches_under_optimize("count_mismatches") == "[]"
+
+
+def translation_mismatches():
+    """Every (rack, rule) where the translation table of
+    labelings.translations breaks a rule.  Each shift is a bijection that
+    commutes with > and >^{-1} on the operation columns and with the kink
+    map, and only the identity, listed first, fixes an element.  The
+    shifts are closed under composition; for a TSRack there is one per
+    element c with (t+s)c = c, for any other rack only the identity.  The
+    first seeds number |X| / |shifts| and meet every orbit of the
+    shifts, so each once.  No assert, so it also runs under python -O."""
+    racks = {
+        "Q16": make_quotient(2, [1, 0, 1]),
+        "quotient(3, [1, 1])": make_quotient(3, [1, 1]),
+        "Z2+Z4": make_module((2, 4), [[1, 1], [2, 1]], [[0, 1], [2, 2]]),
+        "s_submodule(R4)": s_submodule(make_linear(4, 3, 2)),
+        "conjugation S3": conjugation_rack(S3_TABLE),
+        "constant (2 3 1 5 4)": constant_action_rack([2, 3, 1, 5, 4]),
+    }
+    for n in range(2, 13):
+        for t, s in enumerate_linear(n):
+            racks["linear(%d, %d, %d)" % (n, t, s)] = make_linear(n, t, s)
+    bad = []
+    for name, rack in racks.items():
+        elements, tables = operation_columns(rack)
+        shifts, firsts = translations(rack)
+        n = len(elements)
+        identity = list(range(n))
+        ops = [[tables[kind][j] for j in identity] for kind in (0, 1)]
+        kink = tables[2][0]
+        fixed = ([c for c in elements if rack.op(c, c) == c]
+                 if isinstance(rack, TSRack) else [None])
+        if shifts[0] != identity or len(shifts) != len(fixed):
+            bad.append((name, "shift count"))
+        for f in shifts:
+            if sorted(f) != identity:
+                bad.append((name, "not a bijection"))
+            elif any(op[f[j]][f[i]] != f[op[j][i]]
+                     for op in ops for i in identity for j in identity):
+                bad.append((name, "not an automorphism"))
+            elif any(kink[f[i]] != f[kink[i]] for i in identity):
+                bad.append((name, "does not commute with pi"))
+            elif f != identity and any(f[i] == i for i in identity):
+                bad.append((name, "fixes an element"))
+        table = {tuple(f) for f in shifts}
+        if any(tuple(f[i] for i in g) not in table
+               for f in shifts for g in shifts):
+            bad.append((name, "not closed"))
+        if (len(firsts) * len(shifts) != n
+                or {f[x] for f in shifts for x in firsts} != set(identity)):
+            bad.append((name, "first seeds"))
+    return bad
+
+
+def test_translation_table():
+    assert translation_mismatches() == []
+
+
+def test_translation_table_under_optimize():
+    assert mismatches_under_optimize("translation_mismatches") == "[]"
 
 
 def framing_mismatches():

@@ -7,9 +7,10 @@ polynomial and multiset record, and the s-enhanced polynomial and
 multiset record in both split_fibers readings.  Among the entries whose
 additive enhancement did not raise, it records the order_compare
 relation of each additive polynomial to that of every entry later in
-name order.  For the entries in LINEAR_ENTRIES it also records the
-labelings that the linear cross-check enumerate_homs_linear gives on
-each diagram of framed_family, in the order it returns them.  An
+name order.  For the entries in LINEAR_ENTRIES it also records, on
+each diagram of framed_family, the labelings that the linear
+cross-check enumerate_homs_linear gives, in the order it returns them,
+and the sorted labelings of the kernel's enumerate_homs.  An
 invariant that raises is recorded as its exception class and message.
 The output is JSON with sorted keys, so two checkouts that compute the
 same values give byte-identical files:
@@ -67,6 +68,15 @@ def linear_labelings(ts, diagram, rack):
             for w, d in family.items()]
 
 
+def kernel_labelings(ts, diagram, rack):
+    """Per framing, the labelings of enumerate_homs as sorted lists of
+    [arc, value] pairs, in sorted order."""
+    family = ts.diagrams.framed_family(diagram, rack.rack_rank())
+    return [[list(w), sorted([[a, list(x)] for a, x in sorted(f.items())]
+                             for f in ts.invariants.enumerate_homs(d, rack))]
+            for w, d in family.items()]
+
+
 def dump(ts, specs):
     inv, pol = ts.invariants, ts.polynomials
     corpus = ts.atlas.load_corpus()
@@ -88,6 +98,8 @@ def dump(ts, specs):
                                     for b, q in additive.items() if b > a}
         for name in LINEAR_ENTRIES:
             out[text][name]["linear"] = outcome(linear_labelings, ts,
+                                                corpus[name], rack)
+            out[text][name]["kernel"] = outcome(kernel_labelings, ts,
                                                 corpus[name], rack)
     return out
 
