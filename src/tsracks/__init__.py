@@ -42,8 +42,6 @@ from .invariants import (
     counting_invariant,
     enumerate_homs,
     enumerate_homs_linear,
-    recover_counting_from_additive,
-    recover_counting_from_s,
     s_enhanced,
     writhe_enhanced,
 )

@@ -24,14 +24,8 @@ import tempfile
 from . import __version__
 from .errors import ParseError, ToolkitError, ValidationError
 from .diagrams import parse_link
-from .invariants import (
-    additive_enhanced,
-    counting_invariant,
-    recover_counting_from_additive,
-    recover_counting_from_s,
-    s_enhanced,
-    writhe_enhanced,
-)
+from .invariants import (additive_enhanced, counting_invariant, s_enhanced,
+                         writhe_enhanced)
 from .modules import TSRack, tsrack_from_spec, tsrack_iso_check
 from .polynomials import order_compare, parse_u_polynomial
 from .racks import find_isomorphism, rack_from_text, rack_rank
@@ -50,9 +44,10 @@ def _read(path):
 
 
 class _RackSource:
+    """The rack a --rack argument names, a TSRack from a spec or a
+    FiniteRack from matrix text, and the spec that keys its records."""
+
     def __init__(self, text):
-        self.tsrack = None
-        self.matrix_rack = None
         body = text.strip()
         # matrix text starts with its size; anything else names a file
         if not body.startswith("{") and (os.path.exists(body)
@@ -63,21 +58,12 @@ class _RackSource:
                 spec = json.loads(body)
             except json.JSONDecodeError as exc:
                 raise ParseError("bad rack spec JSON: %s" % exc) from exc
-            self.tsrack = tsrack_from_spec(spec)
-            self.spec = self.tsrack.spec
+            self.rack = tsrack_from_spec(spec)
+            self.spec = self.rack.spec
         else:
-            self.matrix_rack = rack_from_text(body)
+            self.rack = rack_from_text(body)
             self.spec = {"type": "matrix", "matrix":
-                         [list(r) for r in self.matrix_rack.op_matrix]}
-
-    @property
-    def rack(self):
-        return self.tsrack if self.tsrack is not None else self.matrix_rack
-
-    def finite(self):
-        if self.matrix_rack is not None:
-            return self.matrix_rack
-        return self.tsrack.to_finite_rack()
+                         [list(r) for r in self.rack.op_matrix]}
 
     def spec_hash(self):
         return hashlib.sha256(
@@ -92,7 +78,7 @@ def _link_source(text):
 
 
 def _compute_record(source, link_spec, kind):
-    diagram = parse_link(link_spec)
+    diagram, rack = parse_link(link_spec), source.rack
     record = {
         "invariant": kind,
         "rack_spec": source.spec,
@@ -104,29 +90,24 @@ def _compute_record(source, link_spec, kind):
         "multiset": None,
     }
     if kind == "count":
-        record["counting_value"] = counting_invariant(diagram, source.rack)
+        record["counting_value"] = counting_invariant(diagram, rack)
         return record
     if kind == "writhe":
-        poly = writhe_enhanced(diagram, source.rack)
-        record["polynomial"] = poly.to_record()
-        record["polynomial_text"] = str(poly)
-        record["counting_value"] = sum(c for _, _, c in poly.terms())
-        return record
-    if source.tsrack is None:
+        poly, multiset = writhe_enhanced(diagram, rack), None
+        count = sum(c for _, _, c in poly.terms())
+    elif not isinstance(rack, TSRack):
         raise ValidationError(
             "invariant kind %r needs a (t,s)-rack spec, not a bare matrix"
             % kind)
-    if kind == "additive":
-        poly, multiset = additive_enhanced(diagram, source.tsrack)
-        record["counting_value"] = recover_counting_from_additive(poly)
-    elif kind == "s-enh":
-        poly, multiset = s_enhanced(diagram, source.tsrack)
-        record["counting_value"] = recover_counting_from_s(poly)
+    elif kind == "additive":
+        poly, multiset = additive_enhanced(diagram, rack)
+        count = poly.evaluate_u1()
     else:
-        raise ValidationError("unknown invariant kind %r" % kind)
-    record["polynomial"] = poly.to_record()
-    record["polynomial_text"] = str(poly)
-    record["multiset"] = multiset.to_record()
+        poly, multiset = s_enhanced(diagram, rack)
+        count = poly.coeff_exponent_sum()
+    record.update(polynomial=poly.to_record(), polynomial_text=str(poly),
+                  counting_value=count, multiset=None if multiset is None
+                  else multiset.to_record())
     return record
 
 
@@ -212,28 +193,23 @@ def _emit_record(record, fmt):
 
 
 def cmd_validate_rack(args):
-    source = _RackSource(args.rack)
-    rack = source.finite()
+    rack = _RackSource(args.rack).rack
     n, _ = rack_rank(rack)
-    print("valid rack on %d elements, rack rank %d" % (rack.n, n))
+    print("valid rack on %d elements, rack rank %d" % (len(rack.elements), n))
     return 0
 
 
 def cmd_rack_rank(args):
-    source = _RackSource(args.rack)
-    rack = source.finite()
-    n, per = rack_rank(rack)
+    n, per = rack_rank(_RackSource(args.rack).rack)
     print("rack rank: %d" % n)
     print("per-element: %s" % " ".join(str(v) for v in per))
     return 0
 
 
 def cmd_make_tsrack(args):
-    source = _RackSource(args.rack)
-    if source.tsrack is None:
+    x = _RackSource(args.rack).rack
+    if not isinstance(x, TSRack):
         raise ValidationError("make-tsrack needs a (t,s)-rack spec")
-    x = source.tsrack
-    rack = x.to_finite_rack()
     print("order: %d" % x.order)
     print("rack rank: %d" % x.rack_rank())
     print("alexander quandle: %s" % ("yes" if x.is_alexander() else "no"))
@@ -241,34 +217,37 @@ def cmd_make_tsrack(args):
     for i, v in enumerate(x.carrier, start=1):
         print("  x_%d = %s" % (i, list(v)))
     print("rack matrix:")
-    print(rack.to_text(), end="")
+    print(x.to_finite_rack().to_text(), end="")
     return 0
 
 
+def _print_map(title, m):
+    print(title)
+    for k in sorted(m):
+        print("  %s -> %s" % (list(k), list(m[k])))
+
+
 def cmd_iso_check(args):
-    a = _RackSource(args.rack)
-    b = _RackSource(args.rack2)
-    if a.tsrack is not None and b.tsrack is not None:
-        cert = tsrack_iso_check(a.tsrack, b.tsrack)
+    a, b = _RackSource(args.rack).rack, _RackSource(args.rack2).rack
+    if isinstance(a, TSRack) and isinstance(b, TSRack):
+        cert = tsrack_iso_check(a, b)
         if cert is None:
             print("not isomorphic")
             return 0
         print("isomorphic")
-        print("submodule isomorphism h on sX:")
-        for k in sorted(cert.h):
-            print("  %s -> %s" % (list(k), list(cert.h[k])))
+        _print_map("submodule isomorphism h on sX:", cert.h)
         print("coset representatives A: %s"
               % [list(v) for v in cert.coset_reps_a])
         print("coset representatives B: %s"
               % [list(v) for v in cert.coset_reps_b])
-        print("orbit bijection g:")
-        for k in sorted(cert.g):
-            print("  %s -> %s" % (list(k), list(cert.g[k])))
-        print("assembled rack isomorphism phi:")
-        for k in sorted(cert.phi):
-            print("  %s -> %s" % (list(k), list(cert.phi[k])))
+        _print_map("orbit bijection g:", cert.g)
+        _print_map("assembled rack isomorphism phi:", cert.phi)
         return 0
-    f = find_isomorphism(a.finite(), b.finite())
+    f = None
+    # racks of different orders are not isomorphic: export no spec
+    if len(a.elements) == len(b.elements):
+        f = find_isomorphism(*(r.to_finite_rack() if isinstance(r, TSRack)
+                               else r for r in (a, b)))
     if f is None:
         print("not isomorphic")
     else:

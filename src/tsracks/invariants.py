@@ -112,41 +112,22 @@ def enumerate_homs_linear(diagram, rack):
 # -- invariants ------------------------------------------------------------
 
 
-class EnhancedMultiset:
-    """Multiset of labeling signatures.
-
-    Entries are invariant-factor tuples for the additive enhancement and
-    fiber cardinalities for the s-enhancement.
-    """
-
-    def __init__(self, entries=()):
-        self._counts = Counter(entries)
+class EnhancedMultiset(Counter):
+    """Multiset of labeling signatures: invariant-factor tuples for the
+    additive enhancement, fiber cardinalities for the s-enhancement."""
 
     def add(self, entry, count=1):
-        self._counts[entry] += count
+        self[entry] += count
 
     def entries(self):
-        out = []
-        for entry in sorted(self._counts):
-            out.extend([entry] * self._counts[entry])
-        return out
-
-    def total(self):
-        return sum(self._counts.values())
+        return sorted(self.elements())
 
     def counts(self):
-        return dict(self._counts)
-
-    def __eq__(self, other):
-        return (isinstance(other, EnhancedMultiset)
-                and self._counts == other._counts)
-
-    def __repr__(self):
-        return "EnhancedMultiset(%r)" % (self.entries(),)
+        return dict(self)
 
     def to_record(self):
         return [[list(e) if isinstance(e, tuple) else e, c]
-                for e, c in sorted(self._counts.items(), key=lambda kv: kv[0])]
+                for e, c in sorted(self.items())]
 
 
 def counting_invariant(diagram, rack):
@@ -339,12 +320,3 @@ def _component_buckets(comps, lifts):
                         if x != y)] += 1
     return list(buckets.values())
 
-
-def recover_counting_from_additive(poly):
-    """Evaluate at u = 1."""
-    return poly.evaluate_u1()
-
-
-def recover_counting_from_s(poly):
-    """Sum coefficient times exponent."""
-    return poly.coeff_exponent_sum()

@@ -502,6 +502,10 @@ def alexander_iso_check(m_rack, m2_rack):
 
 # -- textual specs --------------------------------------------------------
 
+# the largest rack order a spec may describe: such a rack builds at once,
+# but its operation matrix takes O(ORDER_LIMIT^2) time and memory to export
+ORDER_LIMIT = 4096
+
 
 def tsrack_from_spec(spec):
     """Build a TSRack from its structured-text description.
@@ -511,17 +515,22 @@ def tsrack_from_spec(spec):
       {"type": "quotient", "n": N, "p": [c0, c1, ...]}   (ascending)
       {"type": "module", "moduli": [...], "t": [[...]], "s": [[...]]}
     Every number must be an integer (not a bool) and each module matrix
-    square of the group's rank; that is checked before anything is built.
+    square of the group's rank, and the order the spec describes, n,
+    n^(2 deg p) or the product of the moduli, at most ORDER_LIMIT; that is
+    checked before anything is built.
     """
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValidationError("rack spec must be an object with a 'type'")
     kind = spec["type"]
     try:
         if kind == "linear":
-            return make_linear(*(_integer(spec[f], f) for f in "nts"))
+            n, t, s = (_integer(spec[f], f) for f in "nts")
+            _check_order([n])
+            return make_linear(n, t, s)
         if kind == "quotient":
-            return make_quotient(_integer(spec["n"], "n"),
-                                 _integers(spec["p"], "p"))
+            n, p = _integer(spec["n"], "n"), _integers(spec["p"], "p")
+            _check_order([n] * (2 * len(p) - 2))
+            return make_quotient(n, p)
         if kind == "module":
             rank = len(_integers(spec["moduli"], "moduli"))
             for f in "ts":
@@ -530,11 +539,23 @@ def tsrack_from_spec(spec):
                         len(_integers(row, f)) != rank for row in m):
                     raise ValidationError("%s must be a %d x %d matrix"
                                           % (f, rank, rank))
+            _check_order(spec["moduli"])
             return make_module(spec["moduli"], spec["t"], spec["s"],
                                spec=spec)
     except KeyError as exc:
         raise ValidationError("rack spec is missing field %s" % exc) from exc
     raise ValidationError("unknown rack spec type %r" % (kind,))
+
+
+def _check_order(factors):
+    """Refuse a spec whose order, the product of factors, is over
+    ORDER_LIMIT; the product stops as soon as it passes the limit."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > ORDER_LIMIT:
+            raise ValidationError("rack spec describes more than %d elements"
+                                  " (ORDER_LIMIT)" % ORDER_LIMIT)
 
 
 def _integer(value, name):

@@ -31,10 +31,6 @@ class FiniteRack:
     def op_inv(self, i, j):
         return self.inv_matrix[i - 1][j - 1]
 
-    def kink_map(self):
-        """The permutation pi(x) = x > x (the matrix diagonal)."""
-        return tuple(self.op_matrix[i][i] for i in range(self.n))
-
     def __eq__(self, other):
         return isinstance(other, FiniteRack) and self.op_matrix == other.op_matrix
 
@@ -138,9 +134,9 @@ def cycle_lengths(perm):
 
 
 def rack_rank(rack):
-    """(N, per-element ranks): N(x) is the pi-cycle length through x and
-    N = lcm of them, which is also the order of pi in S_n."""
-    lengths = cycle_lengths(dict(zip(rack.elements, rack.kink_map())))
+    """(N, per-element ranks in the order of rack.elements) of any rack:
+    N(x) is the cycle length of pi(x) = x > x through x, N their lcm."""
+    lengths = cycle_lengths({x: rack.op(x, x) for x in rack.elements})
     per = [lengths[x] for x in rack.elements]
     return lcm(*per), per
 

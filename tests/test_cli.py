@@ -4,11 +4,14 @@ import random
 import pytest
 
 from tsracks.cli import CACHE_ENV, KINDS, main
+from tsracks.modules import (ORDER_LIMIT, TSRack, enumerate_linear,
+                             tsrack_from_spec)
 
 Z12_SPEC = '{"type":"linear","n":12,"t":11,"s":2}'
 Z4_SPEC = '{"type":"linear","n":4,"t":1,"s":2}'
 R4_SPEC = '{"type":"linear","n":4,"t":3,"s":2}'
 QUOT_SPEC = '{"type":"quotient","n":2,"p":[1,1]}'
+QUOT3_SPEC = '{"type":"quotient","n":3,"p":[1,1]}'
 FIG8_PD = ("pd: X[1,6,2,7] X[5,2,6,3] X[3,1,4,8] X[7,5,8,4]")
 # Alexander quandles A(2; x^4+x^3+1) and A(2; x^4+x^2+1): t the companion
 # matrix, s = 1 - t
@@ -26,6 +29,20 @@ Q3_REBASED = (
     '{"type":"module","moduli":[3,3,3,3],'
     '"t":[[1,2,2,0],[0,0,2,0],[0,2,0,0],[0,2,1,2]],'
     '"s":[[2,2,1,0],[2,2,1,0],[1,0,1,0],[1,2,0,0]]}')
+Z2_Z4_SPEC = ('{"type":"module","moduli":[2,4],"t":[[1,1],[2,1]],'
+              '"s":[[0,1],[2,2]]}')
+Q16_SPEC = '{"type":"quotient","n":2,"p":[1,0,1]}'
+# well-typed specs over ORDER_LIMIT: the first hung validate-rack for
+# minutes, and the others describe more elements than could be listed
+OVERSIZED_SPECS = {
+    "linear 100000": {"type": "linear", "n": 100000, "t": 1, "s": 0},
+    "linear 10**9": {"type": "linear", "n": 10**9, "t": 1, "s": 0},
+    "long quotient": {"type": "quotient", "n": 2,
+                      "p": [1] + [0] * 9998 + [1]},
+    "module": {"type": "module", "moduli": [10**6] * 8,
+               "t": [[int(i == j) for j in range(8)] for i in range(8)],
+               "s": [[0] * 8 for _ in range(8)]},
+}
 
 
 def run(capsys, *argv):
@@ -122,6 +139,39 @@ class TestIsoCheck:
         assert "not isomorphic" in out
 
 
+class TestSpecMatrixParity:
+    """validate-rack and rack-rank read a spec's rack directly, and print
+    what they print on the spec's exported matrix."""
+
+    @pytest.mark.parametrize("spec", [
+        json.dumps({"type": "linear", "n": n, "t": t, "s": s})
+        for n in range(2, 9) for t, s in enumerate_linear(n)]
+        + [Q16_SPEC, QUOT3_SPEC, Z2_Z4_SPEC], ids=lambda spec: spec)
+    def test_rank_verbs(self, tmp_path, capsys, spec):
+        matrix = tmp_path / "rack.txt"
+        matrix.write_text(
+            tsrack_from_spec(json.loads(spec)).to_finite_rack().to_text())
+        for verb in ("validate-rack", "rack-rank"):
+            on_spec = run(capsys, verb, "--rack", spec)
+            assert on_spec[0] == 0
+            assert on_spec == run(capsys, verb, "--rack", str(matrix))
+
+    def test_iso_check_of_other_orders_exports_nothing(self, tmp_path,
+                                                        capsys, monkeypatch):
+        matrix = tmp_path / "rack.txt"
+        matrix.write_text("2\n2 2\n1 1\n")
+
+        def export(rack, order=None):
+            raise AssertionError("exported %r" % (rack,))
+
+        monkeypatch.setattr(TSRack, "to_finite_rack", export)
+        for pair in ((Q16_SPEC, str(matrix)), (str(matrix), Z4_SPEC)):
+            code, out, _ = run(capsys, "iso-check", "--rack", pair[0],
+                               "--rack2", pair[1])
+            assert code == 0
+            assert out == "not isomorphic\n"
+
+
 class TestInvariant:
     def test_additive_figure_eight(self, capsys):
         code, out, _ = run(capsys, "invariant", "--rack", Z12_SPEC,
@@ -149,6 +199,23 @@ class TestInvariant:
         code, _, err = run(capsys, "invariant", "--rack", str(path),
                            "--link", "unknots: 1", "--kind", "additive")
         assert code == 3
+
+    @pytest.mark.parametrize("rack", [R4_SPEC, Q16_SPEC])
+    def test_every_kind_records_the_counting_invariant(self, capsys, rack):
+        # writhe sums the coefficients, additive evaluates at u = 1 and
+        # s-enh sums coefficient times exponent; the two enhancements
+        # alone keep a multiset
+        for link in ("braid: 2: 1 1", "braid: 2: 1 1 1"):
+            records = []
+            for kind in KINDS:
+                code, out, _ = run(capsys, "invariant", "--rack", rack,
+                                   "--link", link, "--kind", kind,
+                                   "--format", "json-like")
+                assert code == 0
+                records.append(json.loads(out))
+            assert len({r["counting_value"] for r in records}) == 1
+            assert [r["multiset"] is None for r in records] == [
+                kind in ("count", "writhe") for kind in KINDS]
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "invariant", "--rack", Z4_SPEC,
@@ -311,6 +378,17 @@ class TestTable:
         assert "--weak-order" in captured.err and "writhe" in captured.err
 
 
+# argv of each verb that reads a rack but table, given two rack specs
+RACK_VERBS = {
+    "validate-rack": lambda a, b: ["validate-rack", "--rack", a],
+    "rack-rank": lambda a, b: ["rack-rank", "--rack", a],
+    "make-tsrack": lambda a, b: ["make-tsrack", "--rack", a],
+    "iso-check": lambda a, b: ["iso-check", "--rack", a, "--rack2", b],
+    "invariant": lambda a, b: ["invariant", "--rack", a,
+                               "--link", "braid: 2: 1 1 1"],
+}
+
+
 class TestMalformedRackSpecs:
     """A malformed rack spec exits 2 or 3 with a message, never with a
     traceback."""
@@ -343,17 +421,53 @@ class TestMalformedRackSpecs:
         assert code == 3
         assert err.startswith("validation error: ")
 
+    @pytest.mark.parametrize("verb", RACK_VERBS)
+    @pytest.mark.parametrize("name", sorted(OVERSIZED_SPECS))
+    def test_oversized_spec_refused(self, capsys, verb, name):
+        spec = json.dumps(OVERSIZED_SPECS[name])
+        # iso-check refuses it in either place
+        pairs = [(spec, Z4_SPEC)] + [(Z4_SPEC, spec)] * (verb == "iso-check")
+        for pair in pairs:
+            code, out, err = run(capsys, *RACK_VERBS[verb](*pair))
+            assert code == 3
+            assert out == "" and err == (
+                "validation error: rack spec describes more than %d "
+                "elements (ORDER_LIMIT)\n" % ORDER_LIMIT)
+
+    @pytest.mark.parametrize("at_limit, past_limit", [
+        ({"type": "linear", "n": 4096, "t": 1, "s": 0},
+         {"type": "linear", "n": 4097, "t": 1, "s": 0}),
+        ({"type": "quotient", "n": 2, "p": [1, 0, 0, 0, 0, 0, 1]},
+         {"type": "quotient", "n": 3, "p": [1, 0, 0, 0, 1]}),
+        ({"type": "module", "moduli": [64, 64], "t": [[1, 0], [0, 1]],
+          "s": [[0, 0], [0, 0]]},
+         {"type": "module", "moduli": [64, 65], "t": [[1, 0], [0, 1]],
+          "s": [[0, 0], [0, 0]]}),
+    ], ids=["linear", "quotient", "module"])
+    def test_order_limit_is_inclusive(self, capsys, at_limit, past_limit):
+        assert ORDER_LIMIT == 4096
+        code, out, _ = run(capsys, "validate-rack", "--rack",
+                           json.dumps(at_limit))
+        assert code == 0 and out.startswith("valid rack on 4096 elements")
+        code, _, err = run(capsys, "validate-rack", "--rack",
+                           json.dumps(past_limit))
+        assert code == 3 and "ORDER_LIMIT" in err
+
     def test_fuzzed_specs(self, capsys, monkeypatch):
-        # seeded: mutations of small valid specs, run through two verbs
+        # seeded: mutations of small valid specs, run through every verb
+        # that reads a rack but table
         monkeypatch.delenv(CACHE_ENV, raising=False)
         rng = random.Random(2026)
         bad = []
-        for _ in range(800):
+        for _ in range(2000):
             spec = json.dumps(fuzzed_spec(rng))
-            argv = rng.choice([
-                ["validate-rack", "--rack", spec],
-                ["invariant", "--rack", spec, "--link", "braid: 2: 1 1 1",
-                 "--kind", rng.choice(KINDS)]])
+            verb = rng.choice(sorted(RACK_VERBS))
+            # iso-check against a second fuzzed spec, or against itself
+            other = spec if rng.random() < 0.5 else json.dumps(
+                fuzzed_spec(rng))
+            argv = RACK_VERBS[verb](spec, other)
+            if verb == "invariant":
+                argv += ["--kind", rng.choice(KINDS)]
             try:
                 code = main(argv)
             except Exception as exc:  # an escape, reported below

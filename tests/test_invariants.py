@@ -14,12 +14,11 @@ from tsracks.diagrams import (LinkDiagram, framed_family, parse_braid,
                               parse_link, parse_pd, unknot_diagram)
 from tsracks.errors import ConsistencyError, ValidationError, WrongStructureError
 from tsracks.invariants import (
+    EnhancedMultiset,
     additive_enhanced,
     counting_invariant,
     enumerate_homs,
     enumerate_homs_linear,
-    recover_counting_from_additive,
-    recover_counting_from_s,
     s_enhanced,
     writhe_enhanced,
 )
@@ -233,7 +232,7 @@ class TestSEnhanced:
     def test_plain_mode_counts_whole_fibers(self):
         poly, _ = s_enhanced(HOPF, R4, split_fibers=False)
         assert str(poly) == "2u^4"
-        assert recover_counting_from_s(poly) == 8
+        assert poly.coeff_exponent_sum() == 8
 
     def test_projection_is_valid_sublabeling(self):
         sub = s_submodule(R4)
@@ -271,18 +270,32 @@ class TestSEnhanced:
             s_enhanced(load_corpus()["L4a1"], rack)
 
 
+class TestEnhancedMultiset:
+    def test_a_counter_read_in_entry_order(self):
+        m = EnhancedMultiset()
+        m.add((2, 4), 3)
+        m.add((2,))
+        m.add((2, 4))
+        assert isinstance(m, Counter)
+        assert m.total() == 5
+        assert m.counts() == {(2, 4): 4, (2,): 1}
+        assert m.entries() == [(2,), (2, 4), (2, 4), (2, 4), (2, 4)]
+        assert m.to_record() == [[[2], 1], [[2, 4], 4]]
+        assert m == EnhancedMultiset(m.entries())
+        assert EnhancedMultiset([4, 1, 4]).to_record() == [[1, 1], [4, 2]]
+
+
 class TestRecovery:
     def test_additive_recovery_examples(self):
-        assert recover_counting_from_additive(
-            upoly("u + u^2 + 8u^3 + 2u^4 + 8u^6 + 16u^12")) == 36
-        assert recover_counting_from_additive(
-            upoly("4u + 12u^2 + 20u^4")) == 36
-        assert recover_counting_from_additive(InvariantPolynomial()) == 0
+        assert upoly("u + u^2 + 8u^3 + 2u^4 + 8u^6 + 16u^12"
+                     ).evaluate_u1() == 36
+        assert upoly("4u + 12u^2 + 20u^4").evaluate_u1() == 36
+        assert InvariantPolynomial().evaluate_u1() == 0
 
     def test_s_recovery_examples(self):
-        assert recover_counting_from_s(upoly("2u + 2u^3")) == 8
-        assert recover_counting_from_s(upoly("2u^2")) == 4
-        assert recover_counting_from_s(InvariantPolynomial()) == 0
+        assert upoly("2u + 2u^3").coeff_exponent_sum() == 8
+        assert upoly("2u^2").coeff_exponent_sum() == 4
+        assert InvariantPolynomial().coeff_exponent_sum() == 0
 
     def test_specialization_identities(self):
         racks = [Z4_RACK, R4, make_quotient(2, [1, 1])]
@@ -292,8 +305,8 @@ class TestRecovery:
                 count = counting_invariant(diagram, rack)
                 add_poly, _ = additive_enhanced(diagram, rack)
                 s_poly, _ = s_enhanced(diagram, rack)
-                assert recover_counting_from_additive(add_poly) == count
-                assert recover_counting_from_s(s_poly) == count
+                assert add_poly.evaluate_u1() == count
+                assert s_poly.coeff_exponent_sum() == count
 
 
 def plan_leaves(diagram, rack):

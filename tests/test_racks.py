@@ -32,7 +32,7 @@ class TestValidateRack:
 
     def test_linear_z4_matrix(self):
         rack = validate_rack(LINEAR_Z4)
-        assert rack.kink_map() == (3, 2, 1, 4)
+        assert tuple(rack.op(x, x) for x in rack.elements) == (3, 2, 1, 4)
 
     def test_column_not_permutation(self):
         with pytest.raises(RackAxiomError) as info:
@@ -98,11 +98,25 @@ def _kink_order(elements, op):
     return k
 
 
+def _cycle_lengths(elements, op):
+    """Per element, the length of its pi-cycle, by walking pi."""
+    out = []
+    for x in elements:
+        y, length = op(x, x), 1
+        while y != x:
+            y, length = op(y, y), length + 1
+        out.append(length)
+    return out
+
+
 class TestRackRankOracle:
     def check(self, x):
         k = _kink_order(x.carrier, x.op)
         assert x.rack_rank() == k
         assert rack_rank(x.to_finite_rack())[0] == k
+        # read off the rack itself or its export, in carrier order
+        per = _cycle_lengths(x.carrier, x.op)
+        assert rack_rank(x) == rack_rank(x.to_finite_rack()) == (k, per)
 
     def test_linear_racks_up_to_twelve(self):
         for n in range(2, 13):
@@ -118,6 +132,8 @@ class TestRackRankOracle:
                       [2, 1, 4, 3], [2, 3, 4, 1, 6, 5]):
             rack = constant_action_rack(sigma)
             assert rack_rank(rack)[0] == _kink_order(rack.elements, rack.op)
+            assert rack_rank(rack)[1] == _cycle_lengths(rack.elements,
+                                                        rack.op)
 
 
 class TestConstructors:

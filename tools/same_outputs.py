@@ -10,8 +10,11 @@ relation of each additive polynomial to that of every entry later in
 name order.  For the entries in LINEAR_ENTRIES it also records, on
 each diagram of framed_family, the labelings that the linear
 cross-check enumerate_homs_linear gives, in the order it returns them,
-and the sorted labelings of the kernel's enumerate_homs.  An
-invariant that raises is recorded as its exception class and message.
+and the sorted labelings of the kernel's enumerate_homs.  Under the key
+"cli" it records, for each spec, the stdout and exit code of the
+in-process command line (cli.main) for validate-rack, rack-rank and
+make-tsrack.  An invariant that raises is recorded as its exception
+class and message.
 The output is JSON with sorted keys, so two checkouts that compute the
 same values give byte-identical files:
 
@@ -25,6 +28,8 @@ checkout's src/ is imported.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -36,7 +41,7 @@ def import_checkout(root):
     if "tsracks" in sys.modules:
         raise RuntimeError("tsracks is already imported")
     sys.path.insert(0, src)
-    import tsracks
+    import tsracks.cli  # binds tsracks, with the cli module loaded
     if not str(Path(tsracks.__file__).resolve()).startswith(src):
         raise RuntimeError("tsracks came from %s, not %s"
                            % (tsracks.__file__, src))
@@ -77,6 +82,19 @@ def kernel_labelings(ts, diagram, rack):
             for w, d in family.items()]
 
 
+CLI_VERBS = ("validate-rack", "rack-rank", "make-tsrack")
+
+
+def cli_outputs(ts, text):
+    """Per verb of CLI_VERBS, [exit code, stdout] of cli.main on the spec."""
+    out = {}
+    for verb in CLI_VERBS:
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = ts.cli.main([verb, "--rack", text])
+        out[verb] = [code, stdout.getvalue()]
+    return out
+
+
 def dump(ts, specs):
     inv, pol = ts.invariants, ts.polynomials
     corpus = ts.atlas.load_corpus()
@@ -101,6 +119,7 @@ def dump(ts, specs):
                                                 corpus[name], rack)
             out[text][name]["kernel"] = outcome(kernel_labelings, ts,
                                                 corpus[name], rack)
+        out[text]["cli"] = cli_outputs(ts, text)
     return out
 
 
