@@ -32,6 +32,10 @@ from .racks import find_isomorphism, rack_from_text, rack_rank
 
 CACHE_ENV = "TSRACKS_CACHE_DIR"
 KINDS = ("count", "writhe", "additive", "s-enh")
+# the types _compute_record gives the output fields of a record
+OUTPUT_TYPES = {"counting_value": (int,), "polynomial": (list, type(None)),
+                "polynomial_text": (str, type(None)),
+                "multiset": (list, type(None))}
 
 
 def _read(path):
@@ -79,16 +83,10 @@ def _link_source(text):
 
 def _compute_record(source, link_spec, kind):
     diagram, rack = parse_link(link_spec), source.rack
-    record = {
-        "invariant": kind,
-        "rack_spec": source.spec,
-        "rack_spec_hash": source.spec_hash(),
-        "link_spec": link_spec,
-        "version": __version__,
-        "polynomial": None,
-        "polynomial_text": None,
-        "multiset": None,
-    }
+    record = dict.fromkeys(OUTPUT_TYPES)
+    record.update(invariant=kind, rack_spec=source.spec,
+                  rack_spec_hash=source.spec_hash(), link_spec=link_spec,
+                  version=__version__)
     if kind == "count":
         record["counting_value"] = counting_invariant(diagram, rack)
         return record
@@ -124,16 +122,21 @@ def _cache_key(record_inputs):
 
 
 def cache_lookup(cache_dir, key):
+    """The record stored under key, or None if there is none or it is
+    corrupt: unreadable, or with outputs not of OUTPUT_TYPES."""
     path = os.path.join(cache_dir, key + ".json")
     if not os.path.exists(path):
         return None
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        print("warning: ignoring corrupt cache entry %s" % path,
-              file=sys.stderr)
-        return None
+            record = json.load(fh)
+        if all(type(record[f]) in t for f, t in OUTPUT_TYPES.items()) and \
+                all(type(c) is int for _, c in record["multiset"] or ()):
+            return record
+    except (OSError, ValueError, KeyError, TypeError):
+        pass
+    print("warning: ignoring corrupt cache entry %s" % path, file=sys.stderr)
+    return None
 
 
 def cache_store(cache_dir, key, record):
@@ -158,8 +161,7 @@ def _cached_record(args, source, link_spec, kind):
         hit = cache_lookup(cache_dir, key)
         inputs = {"rack_spec": source.spec, "link_spec": link_spec,
                   "invariant": kind, "version": __version__}
-        if isinstance(hit, dict) and all(hit.get(f) == v
-                                         for f, v in inputs.items()):
+        if hit is not None and hit.items() >= inputs.items():
             return hit
         if hit is not None:
             print("warning: ignoring cache entry %s.json made for other "
@@ -278,9 +280,7 @@ def cmd_table(args):
         except ToolkitError as exc:
             failures.append((name, str(exc)))
             continue
-        value = record.get("polynomial_text")
-        if value is None:
-            value = str(record["counting_value"])
+        value = record["polynomial_text"] or str(record["counting_value"])
         groups.setdefault(value, []).append(name)
 
     rows = sorted(groups.items(), key=lambda kv: sorted(kv[1]))

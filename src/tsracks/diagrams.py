@@ -39,6 +39,9 @@ EdgeCrossing = namedtuple("EdgeCrossing",
                            "sign"])
 Crossing = namedtuple("Crossing", ["over", "under_in", "under_out", "sign"])
 
+# the most braid strands, or unknots, a few digits of a link spec ask for
+STRAND_LIMIT = 10 ** 4
+
 
 class _UnionFind(dict):
     """Union-find on arbitrary keys; find() adds a key it has not seen."""
@@ -327,8 +330,9 @@ def unknot_diagram(count=1):
 def parse_braid(strands, word, unknots=0):
     """Closure of a braid word on the given number of strands."""
     strands = int(strands)
-    if strands < 1:
-        raise ValidationError("strand count must be >= 1")
+    if not 1 <= strands <= STRAND_LIMIT:
+        raise ValidationError("strand count must be 1 to %d (STRAND_LIMIT)"
+                              % STRAND_LIMIT)
     word = [int(w) for w in word]
     for letter in word:
         if letter == 0 or abs(letter) >= strands:
@@ -398,6 +402,9 @@ def parse_link(text):
             raise ParseError("unknown link spec segment %r" % seg)
     if unknots < 0 or (main is None and unknots == 0):
         raise ParseError("link spec describes no components")
+    if unknots > STRAND_LIMIT:
+        raise ValidationError("unknot count must be at most %d "
+                              "(STRAND_LIMIT)" % STRAND_LIMIT)
     if main is None:
         return unknot_diagram(unknots)
     kind, rest = main

@@ -55,11 +55,7 @@ def labeling_orbits(diagram, rack, period):
     cut = _cut_open(diagram, period)
     comps, crossings, cuts = cut
     elements, tables = operation_columns(rack)
-    leaves, plan = _compile(len(elements), period, crossings, cuts,
-                            len(comps))
-    if leaves > LEAF_LIMIT:
-        raise ValidationError("labeling search of %d leaves refused, the "
-                              "limit is %d" % (leaves, LEAF_LIMIT))
+    plan = _compile(len(elements), period, crossings, cuts, len(comps))[1]
     # per element: its pi-cycle, its place on it, and per j the k in
     # Z_period with pi^k = pi^j there
     orbits = [None] * len(elements)
@@ -138,10 +134,10 @@ def _compile(n, period, crossings, cuts, size):
     over when kind is odd; kinds 2 and 3 mark a kink (over is src).  Steps
     force labels, forward from under-in or back from under-out; checks
     test crossings with three known labels, ties (comp, in, out) cuts
-    with two.  Each seed is the unlabelled slot whose label forces the
-    most others, the earliest on ties.  Of the plans that never and that
-    always branch at a cut, the one with fewer leaves is kept (n per seed,
-    period per cut branch): the trefoil needs two seeds either way."""
+    with two.  Each seed (n leaves) is the unlabelled slot whose label
+    forces the most others, the earliest on ties, unless a cut's unknown
+    side forces as many and period <= n (period leaves).  A plan is
+    refused (ValidationError) as soon as its leaves pass LEAF_LIMIT."""
     m = len(crossings)
     touching = [[] for _ in range(size)]
     for k, relation in enumerate(crossings + cuts):
@@ -180,24 +176,21 @@ def _compile(n, period, crossings, cuts, size):
                 queue.extend(touching[dst])
         return steps, checks, ties
 
-    def build(branch_at_cuts):
-        known, used, plan, leaves = set(), set(), [], 1
-        while len(known) < size:
-            loose = [(out, into) if into in known else (into, out)
-                     for _, into, out in cuts
-                     if branch_at_cuts and (into in known) != (out in known)]
-            if loose:
-                branch, leaves = loose[0], leaves * period
-            else:
-                dst = max((a for a in range(size) if a not in known),
-                          key=lambda a: len(propagate(a, set(known),
-                                                      set(used))[0]))
-                branch, leaves = (dst, None), leaves * n
-            plan.append((branch, *propagate(branch[0], known, used)))
-        return leaves, plan
-
-    plans = [build(False)] + ([build(True)] if cuts else [])
-    return min(plans, key=lambda p: p[0])
+    known, used, plan, leaves = set(), set(), [], 1
+    while len(known) < size:
+        seeds = [(a, None) for a in range(size) if a not in known]
+        loose = [(out, into) if into in known else (into, out)
+                 for _, into, out in cuts
+                 if period <= n and (into in known) != (out in known)]
+        # the most slots forced, and a cut over a seed on ties
+        branch = max(seeds + loose, key=lambda b: (len(propagate(
+            b[0], set(known), set(used))[0]), b[1] is not None))
+        leaves *= n if branch[1] is None else period
+        if leaves > LEAF_LIMIT:
+            raise ValidationError("labeling search refused: its plan passes "
+                                  "the limit of %d leaves" % LEAF_LIMIT)
+        plan.append((branch, *propagate(branch[0], known, used)))
+    return leaves, plan
 
 
 def operation_columns(rack):

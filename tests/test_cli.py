@@ -1,8 +1,10 @@
 import json
 import random
+import re
 
 import pytest
 
+from tsracks.atlas import load_corpus_specs
 from tsracks.cli import CACHE_ENV, KINDS, main
 from tsracks.modules import (ORDER_LIMIT, TSRack, enumerate_linear,
                              tsrack_from_spec)
@@ -261,6 +263,37 @@ class TestCache:
         assert out1 == out2
         assert "corrupt" in err
 
+    @pytest.mark.parametrize("verb, damage", [
+        ("invariant", lambda r: {f: v for f, v in r.items()
+                                 if f != "counting_value"}),
+        ("table", lambda r: dict(r, polynomial_text=7)),
+        ("invariant", lambda r: dict(r, multiset=[2, 3])),
+        ("invariant", lambda r: dict(r, counting_value="8")),
+        ("invariant", lambda r: b"\x81\xff"),
+    ], ids=["missing counting_value", "int polynomial_text",
+            "bare multiset counts", "string counting_value", "binary"])
+    def test_entry_with_damaged_outputs_recomputed(self, tmp_path, capsys,
+                                                   verb, damage):
+        # each ended in a traceback (exit 1) while only unparsable JSON
+        # counted as corrupt; its inputs still match
+        links = tmp_path / "links.txt"
+        links.write_text("3_1 braid: 2: 1 1 1\n")
+        argv = ["--cache-dir", str(tmp_path / "cache"), verb, "--rack",
+                Z4_SPEC, "--kind", "additive"] + (
+            ["--link", "braid: 2: 1 1 1"] if verb == "invariant"
+            else ["--links", str(links)])
+        _, fresh, _ = run(capsys, *argv)
+        entry = next((tmp_path / "cache").glob("*.json"))
+        stored = entry.read_bytes()
+        damaged = damage(json.loads(stored))
+        entry.write_bytes(damaged if isinstance(damaged, bytes)
+                          else json.dumps(damaged).encode())
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert out == fresh
+        assert err == "warning: ignoring corrupt cache entry %s\n" % entry
+        assert entry.read_bytes() == stored
+
     def test_entry_for_other_inputs_recomputed(self, tmp_path, capsys):
         def args(cache, link):
             return ["--cache-dir", str(cache), "invariant",
@@ -453,12 +486,25 @@ class TestMalformedRackSpecs:
                            json.dumps(past_limit))
         assert code == 3 and "ORDER_LIMIT" in err
 
-    def test_fuzzed_specs(self, capsys, monkeypatch):
-        # seeded: mutations of small valid specs, run through every verb
-        # that reads a rack but table
+    def test_fuzzed_specs(self, capsys, monkeypatch, tmp_path):
+        # seeded: mutations of small valid rack specs, run through every
+        # verb that reads a rack but table; then mutated link specs, run
+        # through invariant and table with a valid or a fuzzed rack spec
         monkeypatch.delenv(CACHE_ENV, raising=False)
         rng = random.Random(2026)
         bad = []
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: a link spec like "-1"
+                code = exc.code
+            except Exception as exc:  # an escape, reported below
+                code = repr(exc)
+            err = capsys.readouterr().err
+            if code not in (0, 2, 3) or "Traceback" in err:
+                bad.append((argv, code, err))
+
         for _ in range(2000):
             spec = json.dumps(fuzzed_spec(rng))
             verb = rng.choice(sorted(RACK_VERBS))
@@ -468,13 +514,27 @@ class TestMalformedRackSpecs:
             argv = RACK_VERBS[verb](spec, other)
             if verb == "invariant":
                 argv += ["--kind", rng.choice(KINDS)]
-            try:
-                code = main(argv)
-            except Exception as exc:  # an escape, reported below
-                code = repr(exc)
-            err = capsys.readouterr().err
-            if code not in (0, 2, 3) or "Traceback" in err:
-                bad.append((argv, code, err))
+            call(argv)
+        links = tmp_path / "links.txt"
+        for _ in range(600):
+            rack = rng.choice([Z4_SPEC, R4_SPEC, QUOT_SPEC, Q16_SPEC]) \
+                if rng.random() < 0.7 else json.dumps(fuzzed_spec(rng))
+            kind = rng.choice(KINDS)
+            if rng.random() < 0.5:
+                argv = ["invariant", "--rack", rack, "--link",
+                        fuzzed_link(rng), "--kind", kind]
+            else:
+                links.write_text("".join(
+                    "%s %s\n" % (rng.choice(["k", "3_1", "#", ""]),
+                                 fuzzed_link(rng))
+                    for _ in range(rng.randint(1, 3))))
+                argv = ["table", "--rack", rack, "--links", str(links),
+                        "--kind", kind]
+                if kind != "writhe" and rng.random() < 0.5:
+                    argv.append("--weak-order")
+            if rng.random() < 0.3:
+                argv = ["--cache-dir", str(tmp_path / "cache")] + argv
+            call(argv)
         assert bad == []
 
 
@@ -525,6 +585,29 @@ def fuzzed_spec(rng):
         else:
             target[key] = fuzzed_value(rng)
     return spec
+
+
+LINK_TOKENS = ["0", "-1", "2", "7", "99", "x", "", " ", "X[", "]", ",",
+               ";", ":", "pd", "braid", "unknots", "X+[1,2,3,4]", "-"]
+
+
+def fuzzed_link(rng):
+    """A corpus link spec or a small braid or unknot spec, with up to
+    three of its tokens or separators replaced, dropped or joined by
+    one of LINK_TOKENS."""
+    base = rng.choice(list(load_corpus_specs().values()) + [
+        "braid: 3: 1 -2 1", "unknots: 2", "braid: 2: 1 1; unknots: 1"])
+    tokens = re.split(r"([\s,:;\[\]]+)", base)
+    for _ in range(rng.randint(0, 3)):
+        i, roll = rng.randrange(len(tokens)), rng.random()
+        if roll < 0.4:
+            tokens[i] = rng.choice(LINK_TOKENS)
+        elif roll < 0.7:
+            del tokens[i]
+        else:
+            tokens.insert(i, rng.choice(LINK_TOKENS))
+        tokens = tokens or [""]
+    return "".join(tokens)
 
 
 class TestUnreadableFiles:

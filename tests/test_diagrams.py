@@ -1,6 +1,7 @@
 import pytest
 
 from tsracks.diagrams import (
+    STRAND_LIMIT,
     add_kink,
     framed_family,
     parse_braid,
@@ -128,6 +129,18 @@ class TestParseLink:
                     "pd: X[1,4,2,5]; pd: X[1,4,2,5]"):
             with pytest.raises(ParseError):
                 parse_link(bad)
+
+    @pytest.mark.parametrize("spec", [
+        "unknots: %d", "braid: %d: 1", "braid: 2: 1; unknots: %d",
+        "pd: %s; unknots: %%d" % TREFOIL_PD])
+    def test_size_limit_is_inclusive(self, spec):
+        # a few digits would otherwise build a diagram past memory
+        assert STRAND_LIMIT == 10 ** 4
+        assert parse_link(spec % STRAND_LIMIT).component_count >= \
+            STRAND_LIMIT - 1
+        for count in (STRAND_LIMIT + 1, 10 ** 12):
+            with pytest.raises(ValidationError, match="STRAND_LIMIT"):
+                parse_link(spec % count)
 
 
 class TestWrithe:

@@ -311,20 +311,29 @@ class TestRecovery:
 
 def plan_leaves(diagram, rack):
     """The leaf bound of the one-search plan of the diagram by the rack."""
-    period = rack.rack_rank()
+    period = invariants.rack_rank_of(rack)
     comps, crossings, cuts = labelings._cut_open(diagram, period)
-    return labelings._compile(rack.order, period, crossings, cuts,
+    return labelings._compile(len(rack.elements), period, crossings, cuts,
                                len(comps))[0]
 
 
 class TestOneSearch:
     def test_plan_branches_at_a_cut_only_to_save_a_seed(self):
-        # |X| = 16 per seed, N = 4 per cut branch
+        # |X| = 16 per seed, N = 4 per cut branch: the trefoil takes two
+        # seeds (not 4 * 16^2), 7_6 two seeds and a cut (not 16^3)
         corpus, q16 = load_corpus(), make_quotient(2, [1, 0, 1])
-        assert plan_leaves(corpus["3_1"], q16) == 16 ** 2   # not 4 * 16^2
-        assert plan_leaves(corpus["7_6"], q16) == 4 * 16 ** 2  # not 16^3
-        assert plan_leaves(corpus["8_8"], q16) == 4 * 16 ** 2
-        assert plan_leaves(corpus["8_18"], q16) == 16 ** 3
+        seeds_and_cut = {"7_6", "8_6", "8_8"}
+        three_seeds = {"8_5", "8_10", "8_16", "8_17", "8_18", "8_19",
+                       "8_20", "8_21", "L6a4", "L6a5", "L6n1", "L7a7"}
+        assert len(corpus) == 46
+        assert {name: plan_leaves(d, q16) for name, d in corpus.items()} == {
+            name: 4 * 16 ** 2 if name in seeds_and_cut
+            else 16 ** 3 if name in three_seeds else 16 ** 2
+            for name in corpus}
+        # rack rank 6 above order 5: a cut costs more than a seed
+        rank_six = constant_action_rack([2, 1, 4, 5, 3])
+        assert [plan_leaves(corpus[name], rank_six)
+                for name in sorted(seeds_and_cut)] == [5 ** 3] * 3
 
     def test_rank_one_has_no_cuts(self):
         assert labelings._cut_open(TREFOIL, 1)[2] == []
@@ -360,6 +369,21 @@ class TestInputLimit:
         with pytest.raises(ValidationError):
             counting_invariant(load_corpus()["8_18"],
                                tsrack_from_spec(self.Q1024))
+
+    @pytest.mark.parametrize("link", ["unknots: 4000", "braid: 2000: 1"])
+    def test_many_components_refused_while_the_plan_is_built(
+            self, monkeypatch, capsys, link):
+        # each component takes a seed of 4 leaves: refused at the 14th,
+        # not after planning thousands
+        monkeypatch.delenv(CACHE_ENV, raising=False)
+        start = time.perf_counter()
+        code = main(["invariant", "--rack", '{"type":"linear","n":4,'
+                     '"t":3,"s":2}', "--link", link])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "validation error: labeling search refused: its plan passes "
+            "the limit of %d leaves\n" % labelings.LEAF_LIMIT)
 
 
 class TestFramingPeriodicity:

@@ -52,7 +52,9 @@ def labeling_cases():
     """(rack name, rack, diagram name, diagram) for the kernel-against-
     oracle check.  The linear racks are those of enumerate_linear(n),
     n <= 6, but the two of rack rank 4 on Z_5: the Hopf link framed
-    (3, 3) alone would cost the oracle 5^8 assignments with either."""
+    (3, 3) alone would cost the oracle 5^8 assignments with either.  The
+    constant rack (2 1 4 5 3) has rack rank 6 above its order 5, so its
+    plans never branch at a cut."""
     corpus = load_corpus()
     trefoil = parse_braid(2, [1, 1, 1])
     diagrams = {
@@ -65,6 +67,7 @@ def labeling_cases():
     racks = {
         "constant (2 3 1)": constant_action_rack([2, 3, 1]),
         "constant (2 1 4 3)": constant_action_rack([2, 1, 4, 3]),
+        "constant (2 1 4 5 3)": constant_action_rack([2, 1, 4, 5, 3]),
         "conjugation S3": conjugation_rack(S3_TABLE),
         "quotient(2, [1, 1])": make_quotient(2, [1, 1]),
         "s_submodule(R4)": s_submodule(make_linear(4, 3, 2)),

@@ -3,12 +3,15 @@
 
 For each rack spec and each entry of the checkout's corpus it records the
 counting invariant, the writhe-enhanced polynomial, the additive
-polynomial and multiset record, and the s-enhanced polynomial and
-multiset record in both split_fibers readings.  Among the entries whose
-additive enhancement did not raise, it records the order_compare
-relation of each additive polynomial to that of every entry later in
-name order.  For the entries in LINEAR_ENTRIES it also records, on
-each diagram of framed_family, the labelings that the linear
+polynomial and multiset record, the s-enhanced polynomial and multiset
+record in both split_fibers readings, and the leaf bound of the labeling
+plan as plan_leaves in tests/test_invariants.py computes it, so that a
+plan which costs more leaves shows as a difference; a plan over
+LEAF_LIMIT reads "refused", whether _compile raises or not.  Among the
+entries whose additive enhancement did not raise, it records the
+order_compare relation of each additive polynomial to that of every
+entry later in name order.  For the entries in LINEAR_ENTRIES it also
+records, on each diagram of framed_family, the labelings that the linear
 cross-check enumerate_homs_linear gives, in the order it returns them,
 and the sorted labelings of the kernel's enumerate_homs.  Under the key
 "cli" it records, for each spec, the stdout and exit code of the
@@ -82,6 +85,19 @@ def kernel_labelings(ts, diagram, rack):
             for w, d in family.items()]
 
 
+def plan_leaves(ts, diagram, rack):
+    """The leaf bound of the labeling plan of the diagram by the rack, or
+    "refused" for a plan over LEAF_LIMIT."""
+    lab, period = ts.labelings, rack.rack_rank()
+    comps, crossings, cuts = lab._cut_open(diagram, period)
+    try:
+        leaves = lab._compile(rack.order, period, crossings, cuts,
+                              len(comps))[0]
+    except ts.errors.ValidationError:
+        return "refused"
+    return leaves if leaves <= lab.LEAF_LIMIT else "refused"
+
+
 CLI_VERBS = ("validate-rack", "rack-rank", "make-tsrack")
 
 
@@ -107,6 +123,7 @@ def dump(ts, specs):
             "additive": outcome(inv.additive_enhanced, d, rack),
             "s_split": outcome(inv.s_enhanced, d, rack, split_fibers=True),
             "s_plain": outcome(inv.s_enhanced, d, rack, split_fibers=False),
+            "leaves": plan_leaves(ts, d, rack),
         } for name, d in corpus.items()}
         additive = {name: pol.parse_u_polynomial(rec["additive"][0])
                     for name, rec in out[text].items()
