@@ -51,7 +51,8 @@ def framed_labelings(diagram, rack, period):
 def labeling_orbits(diagram, rack, period):
     """The one labeling search, as (cut, found, shifts) with cut and found
     as in framed_labelings but one labeling found per orbit of the shifts
-    (see translations).  Plans over LEAF_LIMIT leaves are refused."""
+    (see translations).  Plans over LEAF_LIMIT leaves are refused.  The
+    search keeps the values left to try at each stage it has entered."""
     cut = _cut_open(diagram, period)
     comps, crossings, cuts = cut
     elements, tables = operation_columns(rack)
@@ -68,20 +69,13 @@ def labeling_orbits(diagram, rack, period):
                        for j in range(len(cycle))]
             for place, y in enumerate(cycle):
                 orbits[y] = cycle, place, classes
-    seeds = range(len(elements))
     shifts, firsts = translations(rack)
     labels = [0] * len(comps)
     ks = [(0,)] * diagram.component_count
-    found = []
-
-    def run(stage):
-        if stage == len(plan):
-            found.append((tuple(labels), tuple(ks)))
-            return
-        (dst, src), steps, checks, ties = plan[stage]
-        for value in (orbits[labels[src]][0] if src is not None
-                      else seeds if stage else firsts):
-            labels[dst] = value
+    found, entered = ([], [iter(firsts)]) if plan else ([((), ())], [])
+    while entered:
+        (dst, src), steps, checks, ties = plan[len(entered) - 1]
+        for labels[dst] in entered[-1]:
             for kind, over, s, d in steps:
                 labels[d] = tables[kind][labels[over]][labels[s]]
             for kind, over, s, d in checks:
@@ -95,9 +89,14 @@ def labeling_orbits(diagram, rack, period):
                         break
                     ks[i] = classes[(there[1] - place) % len(cycle)]
                 else:
-                    run(stage + 1)
-
-    run(0)
+                    if len(entered) < len(plan):  # enter the next stage
+                        src = plan[len(entered)][0][1]
+                        entered.append(iter(range(len(elements)) if src is None
+                                            else orbits[labels[src]][0]))
+                        break
+                    found.append((tuple(labels), tuple(ks)))
+        else:
+            entered.pop()
     return cut, found, shifts
 
 
@@ -136,8 +135,9 @@ def _compile(n, period, crossings, cuts, size):
     test crossings with three known labels, ties (comp, in, out) cuts
     with two.  Each seed (n leaves) is the unlabelled slot whose label
     forces the most others, the earliest on ties, unless a cut's unknown
-    side forces as many and period <= n (period leaves).  A plan is
-    refused (ValidationError) as soon as its leaves pass LEAF_LIMIT."""
+    side forces as many and period <= n (period leaves, the first such
+    cut); only slots on the frontier are tried.  A plan is refused
+    (ValidationError) as soon as its leaves pass LEAF_LIMIT."""
     m = len(crossings)
     touching = [[] for _ in range(size)]
     for k, relation in enumerate(crossings + cuts):
@@ -174,22 +174,44 @@ def _compile(n, period, crossings, cuts, size):
                 steps.append(step)
                 known.add(dst)
                 queue.extend(touching[dst])
-        return steps, checks, ties
+        return steps, checks, ties, known, used
 
-    known, used, plan, leaves = set(), set(), [], 1
+    known, used, plan, leaves, first = set(), set(), [], 1, 0
     while len(known) < size:
-        seeds = [(a, None) for a in range(size) if a not in known]
+        # a crossing is used once its over slot and an under end are known,
+        # so only an under end below a known over slot, or an over slot with
+        # a known under end or on a kink, can force a label: the frontier
+        frontier, forced, trials = set(), set(), {}
+        for _, over, under_in, under_out in crossings:
+            if over not in known:
+                if (under_in in known or under_out in known
+                        or over in (under_in, under_out)):
+                    frontier.add(over)
+            elif under_in not in known and under_out not in known:
+                frontier.update((under_in, under_out))
+        while first in known:
+            first += 1
         loose = [(out, into) if into in known else (into, out)
                  for _, into, out in cuts
                  if period <= n and (into in known) != (out in known)]
-        # the most slots forced, and a cut over a seed on ties
-        branch = max(seeds + loose, key=lambda b: (len(propagate(
-            b[0], set(known), set(used))[0]), b[1] is not None))
+        # the most slots forced, a cut over a seed (not an earlier cut) on
+        # ties; a slot an earlier trial forced forces no more and loses the
+        # tie.  If none forces a slot, the first cut or the earliest slot
+        for branch in loose + [(a, None) for a in sorted(frontier)]:
+            if branch[0] in frontier and branch[0] not in forced:
+                trials[branch] = propagate(branch[0], set(known), set(used))
+                forced |= trials[branch][3]
+        branch = max(trials, key=lambda b: (len(trials[b][0]),
+                                            b[1] is not None), default=None)
+        if branch is None or not trials[branch][0]:
+            branch = loose[0] if loose else (first, None)
         leaves *= n if branch[1] is None else period
         if leaves > LEAF_LIMIT:
             raise ValidationError("labeling search refused: its plan passes "
                                   "the limit of %d leaves" % LEAF_LIMIT)
-        plan.append((branch, *propagate(branch[0], known, used)))
+        *stage, known, used = (trials.get(branch)
+                               or propagate(branch[0], known, used))
+        plan.append((branch, *stage))
     return leaves, plan
 
 

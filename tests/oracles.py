@@ -17,6 +17,9 @@ additive_weight_oracle gives the size and invariant factors of the subgroup
 that a label set's image generates, by pairwise closure and an element-order
 census, for checking the additive weight of tsracks.invariants; it reads
 the rack's op, op_inv and moduli, and no group arithmetic of tsracks.
+greedy_plan builds a labeling plan by scoring every unlabelled slot and
+every loose cut at every stage, for checking that the frontier search of
+tsracks.labelings._compile picks the same branches in the same order.
 
 Ring elements of Z_2[t]/(t^2+1) are bit pairs (c0, c1) = c0 + c1 t.  Rack
 elements are pairs (a, b) of ring elements standing for a + b s, with
@@ -221,6 +224,77 @@ def labeling_oracle(diagram, rack):
 
     extend(0)
     return out
+
+
+def greedy_plan(n, period, crossings, cuts, size):
+    """(leaves, plan) as tsracks.labelings._compile gives them, with no
+    leaf limit, for a cut-open diagram of ``size`` slots, crossings
+    [sign, over, under_in, under_out] and cuts (component, in, out).  At
+    every stage it tries each branch: a seed at every unlabelled slot (n
+    leaves) and, when period <= n, the unknown side of every cut with one
+    side known (period leaves).  A trial labels the branch's slot, then
+    pops the relations it touches off a stack: a crossing with its over
+    slot and one under end known forces the other under end (a step) or
+    tests it (a check), a cut with both sides known is a tie, and each
+    slot forced pushes the relations that touch it.  The branch whose
+    trial forces the most slots is taken; on ties a cut wins over a seed,
+    and otherwise the first tried: seeds in slot order, then cuts in cut
+    order."""
+    relations = [tuple(c) for c in crossings] + list(cuts)
+    touching = [[] for _ in range(size)]
+    for k, relation in enumerate(relations):
+        for a in set(relation[1:]):
+            touching[a].append(k)
+
+    def trial(slot, known, used):
+        steps, checks, ties = [], [], []
+        known.add(slot)
+        stack = list(touching[slot])
+        while stack:
+            k = stack.pop()
+            if k in used:
+                continue
+            if k >= len(crossings):
+                if relations[k][1] in known and relations[k][2] in known:
+                    used.add(k)
+                    ties.append(relations[k])
+                continue
+            sign, over, under_in, under_out = relations[k]
+            if over not in known:
+                continue
+            if under_in in known:
+                inverse, src, dst = sign < 0, under_in, under_out
+            elif under_out in known:
+                inverse, src, dst = sign > 0, under_out, under_in
+            else:
+                continue
+            used.add(k)
+            step = (inverse + 2 * (over == src), over, src, dst)
+            if dst in known:
+                checks.append(step)
+            else:
+                steps.append(step)
+                known.add(dst)
+                stack.extend(touching[dst])
+        return steps, checks, ties
+
+    known, used, plan, leaves = set(), set(), [], 1
+    while len(known) < size:
+        branches = [(a, None) for a in range(size) if a not in known]
+        if period <= n:
+            branches += [(into, out) if out in known else (out, into)
+                         for _, into, out in cuts
+                         if (into in known) != (out in known)]
+        best = None
+        for branch in branches:
+            score = (len(trial(branch[0], set(known), set(used))[0]),
+                     branch[1] is not None)
+            if best is None or score > best[0]:
+                best = score, branch
+        branch = best[1]
+        leaves *= n if branch[1] is None else period
+        plan.append((branch, *trial(branch[0], known, used)))
+    return leaves, plan
 
 
 def image_subrack_oracle(rack, labels):

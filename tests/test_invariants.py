@@ -386,6 +386,23 @@ class TestInputLimit:
             "the limit of %d leaves\n" % labelings.LEAF_LIMIT)
 
 
+class TestManyStages:
+    @pytest.mark.parametrize("count", [1000, 10000])
+    def test_one_element_rack_searches_a_stage_per_unknot(
+            self, monkeypatch, capsys, count):
+        # one leaf per stage never meets the limit: every unknot is a
+        # stage of the plan and of the search, up to STRAND_LIMIT of them,
+        # so neither may recurse per stage or rescan every slot per stage
+        monkeypatch.delenv(CACHE_ENV, raising=False)
+        start = time.perf_counter()
+        code = main(["invariant", "--rack", "1\n1",
+                     "--link", "unknots: %d" % count])
+        assert time.perf_counter() - start < 2
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "counting: 1"
+
+
 class TestFramingPeriodicity:
     @pytest.mark.parametrize("rack", [
         SIGMA12, Z4_RACK, R4, make_quotient(2, [1, 1]),

@@ -11,15 +11,17 @@ from pathlib import Path
 import pytest
 
 from oracles import (RACK, OP_INV, additive_oracle, additive_weight_oracle,
-                     format_u, image_subrack_oracle, labeling_oracle, op,
-                     tsrack_validation_oracle)
+                     format_u, greedy_plan, image_subrack_oracle,
+                     labeling_oracle, op, tsrack_validation_oracle)
 from test_tsrack_validation import GROUPS, _cases, _constructor_outcome
 from tsracks.atlas import load_corpus
 from tsracks.diagrams import add_kink, framed_family, parse_braid, unknot_diagram
+from tsracks.errors import ValidationError
 from tsracks.invariants import (_image, _span_weight, additive_enhanced,
                                 counting_invariant, enumerate_homs,
                                 image_subrack, rack_rank_of, writhe_enhanced)
-from tsracks.labelings import (framed_labelings, operation_columns,
+from tsracks.labelings import (LEAF_LIMIT, _compile, _cut_open,
+                               framed_labelings, operation_columns,
                                translations)
 from tsracks.modules import (TSRack, enumerate_linear, make_linear,
                              make_module, make_quotient, s_submodule)
@@ -261,6 +263,62 @@ def test_one_search_matches_framed_diagrams():
 def test_one_search_matches_framed_diagrams_under_optimize():
     # the cut rules are code, not asserts, so python -O keeps them
     assert mismatches_under_optimize("framing_mismatches") == "[]"
+
+
+def braid_closures(count, seed):
+    """count seeded random braid closures of 2 or 3 components, on 2 to
+    4 strands, as (spec, diagram)."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        strands = rng.randint(2, 4)
+        word = [rng.choice((-1, 1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(3, 10))]
+        diagram = parse_braid(strands, word)
+        if diagram.component_count in (2, 3):
+            out.append(("braid: %d: %s" % (strands, " ".join(map(str, word))),
+                        diagram))
+    return out
+
+
+def plan_mismatches():
+    """Every case where labelings._compile and greedy_plan give different
+    (leaves, plan), or a plan over LEAF_LIMIT is not refused: the corpus
+    by five racks at their order |X| and rack rank N, one of them with N
+    above |X|, and seeded random braid closures of 2 or 3 components at
+    N <= |X|, where two loose cuts tie on 3 of the 200.  No assert, so it
+    also runs under python -O."""
+    racks = {
+        "Z12": make_linear(12, 11, 2), "R4": make_linear(4, 3, 2),
+        "Q16": make_quotient(2, [1, 0, 1]),
+        "linear(5, 2, 0)": make_linear(5, 2, 0),
+        "constant (2 1 4 5 3)": constant_action_rack([2, 1, 4, 5, 3]),
+    }
+    cases = [(rack_name, name, len(rack.elements), rack_rank_of(rack), d)
+             for rack_name, rack in racks.items()
+             for name, d in load_corpus().items()]
+    cases += [("|X| = %d, N = %d" % (n, period), name, n, period, d)
+              for name, d in braid_closures(200, 31)
+              for n, period in ((4, 1), (2, 2), (3, 3), (4, 2), (16, 4))]
+    bad = []
+    for rack_name, name, n, period, diagram in cases:
+        comps, crossings, cuts = _cut_open(diagram, period)
+        want = greedy_plan(n, period, crossings, cuts, len(comps))
+        try:
+            got = _compile(n, period, crossings, cuts, len(comps))
+        except ValidationError:
+            got = "refused"
+        if got != (want if want[0] <= LEAF_LIMIT else "refused"):
+            bad.append((rack_name, name))
+    return bad
+
+
+def test_plan_matches_greedy_oracle():
+    assert plan_mismatches() == []
+
+
+def test_plan_matches_greedy_oracle_under_optimize():
+    # the frontier and tie rules are code, not asserts
+    assert mismatches_under_optimize("plan_mismatches") == "[]"
 
 
 def image_subrack_mismatches():

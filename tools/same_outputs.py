@@ -4,10 +4,11 @@
 For each rack spec and each entry of the checkout's corpus it records the
 counting invariant, the writhe-enhanced polynomial, the additive
 polynomial and multiset record, the s-enhanced polynomial and multiset
-record in both split_fibers readings, and the leaf bound of the labeling
-plan as plan_leaves in tests/test_invariants.py computes it, so that a
-plan which costs more leaves shows as a difference; a plan over
-LEAF_LIMIT reads "refused", whether _compile raises or not.  Among the
+record in both split_fibers readings, and the labeling plan: its leaf
+bound, as plan_leaves in tests/test_invariants.py computes it, and the
+branch (dst, src) of each of its stages, so that two plans differ in the
+dump as soon as they branch differently; a plan over LEAF_LIMIT reads
+"refused" in both keys, whether _compile raises or not.  Among the
 entries whose additive enhancement did not raise, it records the
 order_compare relation of each additive polynomial to that of every
 entry later in name order.  For the entries in LINEAR_ENTRIES it also
@@ -85,17 +86,20 @@ def kernel_labelings(ts, diagram, rack):
             for w, d in family.items()]
 
 
-def plan_leaves(ts, diagram, rack):
-    """The leaf bound of the labeling plan of the diagram by the rack, or
-    "refused" for a plan over LEAF_LIMIT."""
+def plan_outline(ts, diagram, rack):
+    """(leaves, branches) of the labeling plan of the diagram by the rack:
+    its leaf bound and the branch of each stage, or "refused" for both
+    for a plan over LEAF_LIMIT."""
     lab, period = ts.labelings, rack.rack_rank()
     comps, crossings, cuts = lab._cut_open(diagram, period)
     try:
-        leaves = lab._compile(rack.order, period, crossings, cuts,
-                              len(comps))[0]
+        leaves, plan = lab._compile(rack.order, period, crossings, cuts,
+                                    len(comps))
     except ts.errors.ValidationError:
-        return "refused"
-    return leaves if leaves <= lab.LEAF_LIMIT else "refused"
+        return "refused", "refused"
+    if leaves > lab.LEAF_LIMIT:
+        return "refused", "refused"
+    return leaves, [list(branch) for branch, *_ in plan]
 
 
 CLI_VERBS = ("validate-rack", "rack-rank", "make-tsrack")
@@ -117,14 +121,20 @@ def dump(ts, specs):
     out = {}
     for text in specs:
         rack = ts.modules.tsrack_from_spec(json.loads(text))
-        out[text] = {name: {
-            "count": outcome(inv.counting_invariant, d, rack),
-            "writhe": outcome(inv.writhe_enhanced, d, rack),
-            "additive": outcome(inv.additive_enhanced, d, rack),
-            "s_split": outcome(inv.s_enhanced, d, rack, split_fibers=True),
-            "s_plain": outcome(inv.s_enhanced, d, rack, split_fibers=False),
-            "leaves": plan_leaves(ts, d, rack),
-        } for name, d in corpus.items()}
+        out[text] = {}
+        for name, d in corpus.items():
+            leaves, plan = plan_outline(ts, d, rack)
+            out[text][name] = {
+                "count": outcome(inv.counting_invariant, d, rack),
+                "writhe": outcome(inv.writhe_enhanced, d, rack),
+                "additive": outcome(inv.additive_enhanced, d, rack),
+                "s_split": outcome(inv.s_enhanced, d, rack,
+                                   split_fibers=True),
+                "s_plain": outcome(inv.s_enhanced, d, rack,
+                                   split_fibers=False),
+                "leaves": leaves,
+                "plan": plan,
+            }
         additive = {name: pol.parse_u_polynomial(rec["additive"][0])
                     for name, rec in out[text].items()
                     if isinstance(rec["additive"], list)}
