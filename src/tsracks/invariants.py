@@ -21,7 +21,7 @@ from .groups import census_factors
 # enumerate_homs is named here too, where callers and the benchmark's
 # tracer find it
 from .labelings import (_Columns, enumerate_homs, framed_labelings, holds,
-                        labeling_orbits, operation_columns)
+                        labeling_orbits, operation_columns, translations)
 from .modules import TSRack
 from .polynomials import InvariantPolynomial
 from .racks import rack_rank
@@ -228,37 +228,45 @@ def additive_enhanced(diagram, rack, use_linear_path=False):
     act as integer multiples), so AC(Im f) is just the subgroup generated
     by the arc labels there.
 
-    The weight depends only on the set of labels, so each distinct label
-    set over all framings, as element indices, is closed into its image
-    once (_image), and each distinct image weighed once (_span_weight);
-    both memos live only for this call.
+    The weight depends only on the set of labels.  Each distinct label
+    set of labeling_orbits, as element indices, is closed into its image
+    once (_image); a shift is a rack automorphism, so it moves that image
+    onto each translate's.  Each distinct image is weighed once per rack
+    (_span_weight), the weights kept on the rack.
 
     Label sets are taken on the cut-open diagram: the kink chain
     pi^j(in), 0 < j < k, lies in the image of {in}.  use_linear_path
-    labels the framed diagrams by enumerate_homs_linear instead.
+    labels the framed diagrams by enumerate_homs_linear instead, which
+    lists every translate itself.
     """
     _require_module(rack)
     period = rack.rack_rank()
     columns = operation_columns(rack)[1][0]
     label_sets = Counter()
     if use_linear_path:
+        shifts = translations(rack)[0][:1]
         for d in framed_family(diagram, period).values():
             for f in enumerate_homs_linear(d, rack):
                 label_sets[frozenset(columns.index[x]
                                      for x in f.values())] += 1
     else:
-        for labels, ks in framed_labelings(diagram, rack, period)[1]:
+        _, found, shifts = labeling_orbits(diagram, rack, period)
+        for labels, ks in found:
             label_sets[frozenset(labels)] += prod(map(len, ks))
+    images = Counter()
+    for labels, count in label_sets.items():
+        images[_image(columns, labels)] += count
+    weights = vars(rack).setdefault("_span_weights", {})
     terms = Counter()
     multiset = EnhancedMultiset()
-    weights = {}
-    for labels, count in label_sets.items():
-        image = _image(columns, labels)
-        if image not in weights:
-            weights[image] = _span_weight(rack, image)
-        size, factors = weights[image]
-        terms[size, ()] += count
-        multiset.add(factors, count)
+    for image, count in images.items():
+        for shift in shifts:
+            moved = frozenset([shift[i] for i in image])
+            if moved not in weights:
+                weights[moved] = _span_weight(rack, moved)
+            size, factors = weights[moved]
+            terms[size, ()] += count
+            multiset.add(factors, count)
     return InvariantPolynomial(terms), multiset
 
 

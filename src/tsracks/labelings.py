@@ -16,7 +16,8 @@ automorphism that commutes with pi, since (x+c) > (y+c) = x > y + (t+s)c;
 these c form a submodule F that acts freely on the labelings of every
 framing and keeps their kink counts.  So the search gives its first seed
 one element of each coset of F only, and finds one labeling per orbit
-(see labeling_orbits).  The leaf limit still counts |X| values per seed:
+(see labeling_orbits); the count, writhe and additive enhancements read
+the orbits.  The leaf limit still counts |X| values per seed:
 it bounds the plan, and so the inputs refused, for every rack alike.
 """
 

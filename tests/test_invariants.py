@@ -195,27 +195,43 @@ class TestAdditiveEnhanced:
         # The sets are taken on the cut-open diagram, without the kink
         # chains' labels pi^j(in), 0 < j < k, which lie in the image of
         # {in}; on the framed diagrams of framed_family they number 174.
-        # The additive path runs on element indices: each label set is
-        # closed by _image once and each image weighed by _span_weight
-        # once, without the public image_subrack.
-        calls = Counter()
-        for name in ("_image", "_span_weight", "image_subrack"):
+        # The search finds one labeling per orbit of the 4 translations,
+        # whose 50 distinct label sets are each closed by _image once; a
+        # translate's image is the closed one moved by its shift.  Each
+        # image is weighed by _span_weight once per rack, so a second call
+        # on the same rack weighs none.  The additive path runs on element
+        # indices, without the public image_subrack.
+        calls, names = Counter(), ("_image", "_span_weight", "image_subrack")
+        for name in names:
             def counted(*args, _fn=getattr(invariants, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(invariants, name, counted)
-        poly, multiset = additive_enhanced(load_corpus()["L4a1"],
-                                           make_quotient(2, [1, 0, 1]))
-        assert dict(calls) == {"_image": 111, "_span_weight": 21}
-        assert multiset.total() == 1024
-        # the criterion-2 value from the brute-force oracle
-        assert str(poly) == "16u + 80u^2 + 320u^4 + 192u^8 + 416u^16"
+        rack = make_quotient(2, [1, 0, 1])
+        for weighed in (21, 0):
+            calls.clear()
+            poly, multiset = additive_enhanced(load_corpus()["L4a1"], rack)
+            assert [calls[name] for name in names] == [50, weighed, 0]
+            assert multiset.total() == 1024
+            # the criterion-2 value from the brute-force oracle
+            assert str(poly) == "16u + 80u^2 + 320u^4 + 192u^8 + 416u^16"
 
     def test_linear_path_agrees(self):
-        for diagram in (TREFOIL, parse_braid(2, [1] * 4)):
-            a, _ = additive_enhanced(diagram, Z4_RACK)
-            b, _ = additive_enhanced(diagram, Z4_RACK, use_linear_path=True)
-            assert a == b
+        # linear(4, 1, 2) (Z4_RACK) has |F| = 2 and Q16 |F| = 4.  Each
+        # rack is built anew for each order: the linear path first on a
+        # fresh rack, then the kernel on the weights it left, and the
+        # reverse.
+        cases = [(diagram, lambda: make_linear(4, 1, 2))
+                 for diagram in (TREFOIL, parse_braid(2, [1] * 4))]
+        cases.append((TREFOIL, lambda: make_quotient(2, [1, 0, 1])))
+        for diagram, build in cases:
+            for linear_first in (False, True):
+                rack = build()
+                a, x = additive_enhanced(diagram, rack,
+                                         use_linear_path=linear_first)
+                b, y = additive_enhanced(diagram, rack,
+                                         use_linear_path=not linear_first)
+                assert (a, x) == (b, y)
 
 
 class TestSEnhanced:

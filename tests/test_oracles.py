@@ -144,6 +144,49 @@ def test_count_and_writhe_match_oracle_under_optimize():
     assert mismatches_under_optimize("count_mismatches") == "[]"
 
 
+def additive_mismatches():
+    """Every (rack, diagram, part) of labeling_cases, for each TSRack,
+    where additive_enhanced disagrees with brute force: each labeling
+    that labeling_oracle gives on each diagram of framed_family, weighed
+    by additive_weight_oracle on its values, in the polynomial and in the
+    multiset.  Each rack's diagrams are visited in a seeded shuffled
+    order on the one rack, so that most calls meet the weights which
+    other diagrams left on it.  No assert, so it also runs under
+    python -O."""
+    by_rack = {}
+    for rack_name, rack, name, diagram in labeling_cases():
+        if isinstance(rack, TSRack):
+            by_rack.setdefault(rack_name, (rack, []))[1].append(
+                (name, diagram))
+    rng = random.Random(2012)
+    bad = []
+    for rack_name, (rack, diagrams) in by_rack.items():
+        rng.shuffle(diagrams)
+        for name, diagram in diagrams:
+            terms, factors = Counter(), Counter()
+            for d in framed_family(diagram, rack.rack_rank()).values():
+                for f in labeling_oracle(d, rack):
+                    size, chain = additive_weight_oracle(
+                        rack, {x for _, x in f})
+                    terms[size] += 1
+                    factors[chain] += 1
+            poly, multiset = additive_enhanced(diagram, rack)
+            if {u: c for u, _, c in poly.terms()} != terms:
+                bad.append((rack_name, name, "polynomial"))
+            if multiset.counts() != dict(factors):
+                bad.append((rack_name, name, "multiset"))
+    return bad
+
+
+def test_additive_matches_oracle():
+    assert additive_mismatches() == []
+
+
+def test_additive_matches_oracle_under_optimize():
+    # the span closure raises, and the weights kept on the rack are code
+    assert mismatches_under_optimize("additive_mismatches") == "[]"
+
+
 def translation_mismatches():
     """Every (rack, rule) where the translation table of
     labelings.translations breaks a rule.  Each shift is a bijection that

@@ -3,11 +3,14 @@
 
 For each rack spec and each entry of the checkout's corpus it records the
 counting invariant, the writhe-enhanced polynomial, the additive
-polynomial and multiset record, the s-enhanced polynomial and multiset
-record in both split_fibers readings, and the labeling plan: its leaf
-bound, as plan_leaves in tests/test_invariants.py computes it, and the
-branch (dst, src) of each of its stages, so that two plans differ in the
-dump as soon as they branch differently; a plan over LEAF_LIMIT reads
+polynomial and multiset record, the same again as additive_fresh on a
+rack built anew for the entry (so that weights which earlier entries
+left on the spec's one rack show if they change a value), the
+s-enhanced polynomial and multiset record in both split_fibers
+readings, and the labeling plan: its leaf bound, as plan_leaves in
+tests/test_invariants.py computes it, and the branch (dst, src) of each
+of its stages, so that two plans differ in the dump as soon as they
+branch differently; a plan over LEAF_LIMIT reads
 "refused" in both keys, whether _compile raises or not.  Among the
 entries whose additive enhancement did not raise, it records the
 order_compare relation of each additive polynomial to that of every
@@ -128,6 +131,9 @@ def dump(ts, specs):
                 "count": outcome(inv.counting_invariant, d, rack),
                 "writhe": outcome(inv.writhe_enhanced, d, rack),
                 "additive": outcome(inv.additive_enhanced, d, rack),
+                "additive_fresh": outcome(
+                    inv.additive_enhanced, d,
+                    ts.modules.tsrack_from_spec(json.loads(text))),
                 "s_split": outcome(inv.s_enhanced, d, rack,
                                    split_fibers=True),
                 "s_plain": outcome(inv.s_enhanced, d, rack,
