@@ -20,18 +20,11 @@ from .errors import ConsistencyError, WrongStructureError
 from .groups import census_factors
 # enumerate_homs is named here too, where callers and the benchmark's
 # tracer find it
-from .labelings import (_Columns, enumerate_homs, framed_labelings, holds,
-                        labeling_orbits, operation_columns, translations)
+from .labelings import (enumerate_homs, framed_labelings, holds, indexed,
+                        labeling_orbits)
 from .modules import TSRack
 from .polynomials import InvariantPolynomial
-from .racks import rack_rank
 from .diagrams import framed_family
-
-
-def rack_rank_of(rack):
-    if isinstance(rack, TSRack):
-        return rack.rack_rank()
-    return rack_rank(rack)[0]
 
 
 # -- linear-algebra cross-check ---------------------------------------------
@@ -135,7 +128,7 @@ def counting_invariant(diagram, rack):
     kernel finds one labeling per orbit of the translations of a
     (t,s)-rack (labelings.labeling_orbits), and each orbit has one
     labeling per shift, all with the same kink counts."""
-    _, found, shifts = labeling_orbits(diagram, rack, rack_rank_of(rack))
+    _, found, shifts = labeling_orbits(diagram, rack, indexed(rack).rank)
     return len(shifts) * sum(prod(map(len, ks)) for _, ks in found)
 
 
@@ -144,7 +137,7 @@ def writhe_enhanced(diagram, rack):
     of q_1^{w_1}...q_c^{w_c}; the framing with k_i kinks on component i
     is w_i = (k_i + writhe_i) mod N.  As counting_invariant, each labeling
     found stands for one per shift."""
-    period = rack_rank_of(rack)
+    period = indexed(rack).rank
     _, found, shifts = labeling_orbits(diagram, rack, period)
     base = diagram.writhe_vector()
     terms = Counter()
@@ -172,9 +165,9 @@ def image_subrack(rack, labels):
     labels under the translations by the labels alone closes them under
     the whole subrack, and in a finite rack under >^{-1} as well.
     """
-    elements, tables = operation_columns(rack)
-    index = tables[0].index
-    return {elements[k] for k in _image(tables[0], {index[x] for x in labels})}
+    view = indexed(rack)
+    return {view.elements[k] for k in _image(view.tables[0],
+                                             {view.index[x] for x in labels})}
 
 
 def _image(columns, labels):
@@ -197,25 +190,19 @@ def _span_weight(rack, image):
     image, element indices of the module rack: the span S takes the cosets
     S + g, S + 2g, ... for each g in the image but not in S, until one
     returns into S, and must then be closed under + g for each g taken.
-    The add columns and additive orders are kept on the rack."""
-    if not hasattr(rack, "_sum_columns"):
-        elements, tables = operation_columns(rack)
-        index, group = tables[0].index, rack.group
-        rack._sum_columns = (_Columns(group.add, elements, index),
-                             [group.element_order(x) for x in elements],
-                             index[group.zero])
-    add, orders, zero = rack._sum_columns
-    span, taken = {zero}, []
+    The add columns and additive orders come from labelings.indexed."""
+    view = indexed(rack)
+    span, taken = {view.index[rack.group.zero]}, []
     for g in image:
         if g not in span:
-            taken.append(add[g])
+            taken.append(view.add[g])
             coset = [taken[-1][x] for x in span]
             while coset[0] not in span:
                 span.update(coset)
                 coset = [taken[-1][x] for x in coset]
     if not all(column[x] in span for column in taken for x in span):
         raise ConsistencyError("the span of an image is not a subgroup")
-    return len(span), tuple(census_factors([orders[x] for x in span]))
+    return len(span), tuple(census_factors([view.orders[x] for x in span]))
 
 
 def additive_enhanced(diagram, rack, use_linear_path=False):
@@ -232,7 +219,7 @@ def additive_enhanced(diagram, rack, use_linear_path=False):
     set of labeling_orbits, as element indices, is closed into its image
     once (_image); a shift is a rack automorphism, so it moves that image
     onto each translate's.  Each distinct image is weighed once per rack
-    (_span_weight), the weights kept on the rack.
+    (_span_weight), the weights kept on the rack's integer view.
 
     Label sets are taken on the cut-open diagram: the kink chain
     pi^j(in), 0 < j < k, lies in the image of {in}.  use_linear_path
@@ -240,31 +227,28 @@ def additive_enhanced(diagram, rack, use_linear_path=False):
     lists every translate itself.
     """
     _require_module(rack)
-    period = rack.rack_rank()
-    columns = operation_columns(rack)[1][0]
+    view = indexed(rack)
     label_sets = Counter()
     if use_linear_path:
-        shifts = translations(rack)[0][:1]
-        for d in framed_family(diagram, period).values():
+        shifts = view.shifts[:1]
+        for d in framed_family(diagram, view.rank).values():
             for f in enumerate_homs_linear(d, rack):
-                label_sets[frozenset(columns.index[x]
-                                     for x in f.values())] += 1
+                label_sets[frozenset(view.index[x] for x in f.values())] += 1
     else:
-        _, found, shifts = labeling_orbits(diagram, rack, period)
+        _, found, shifts = labeling_orbits(diagram, rack, view.rank)
         for labels, ks in found:
             label_sets[frozenset(labels)] += prod(map(len, ks))
     images = Counter()
     for labels, count in label_sets.items():
-        images[_image(columns, labels)] += count
-    weights = vars(rack).setdefault("_span_weights", {})
+        images[_image(view.tables[0], labels)] += count
     terms = Counter()
     multiset = EnhancedMultiset()
     for image, count in images.items():
         for shift in shifts:
             moved = frozenset([shift[i] for i in image])
-            if moved not in weights:
-                weights[moved] = _span_weight(rack, moved)
-            size, factors = weights[moved]
+            if moved not in view.weights:
+                view.weights[moved] = _span_weight(rack, moved)
+            size, factors = view.weights[moved]
             terms[size, ()] += count
             multiset.add(factors, count)
     return InvariantPolynomial(terms), multiset
@@ -293,17 +277,17 @@ def s_enhanced(diagram, rack, split_fibers=True):
     u^{|fiber|}.
     """
     _require_module(rack)
+    view = indexed(rack)
     (comps, crossings, cuts), found = framed_labelings(diagram, rack,
-                                                 rack.rack_rank())
-    elements, tables = operation_columns(rack)
-    s_of = [tables[0].index[rack.s_map[x]] for x in elements]
+                                                       view.rank)
+    s_of = [view.index[rack.s_map[x]] for x in view.elements]
     fibers = {}
     for labels, ks in found:
         projected = tuple([s_of[i] for i in labels])
         for k in product(*ks):
             fibers.setdefault((k, projected), []).append(labels)
     for k, projected in fibers:
-        if not holds(tables, projected, k, crossings, cuts):
+        if not holds(view.tables, projected, k, crossings, cuts):
             raise ConsistencyError(
                 "an s-projected labeling is not an sX-labeling")
     terms = Counter()
@@ -319,9 +303,9 @@ def s_enhanced(diagram, rack, split_fibers=True):
 def _component_buckets(comps, lifts):
     """Split a fiber by the last component where a lift leaves the least
     lift, comps the component of each slot; the least lift itself lands
-    in the final component's bucket."""
+    in the final component's bucket, component 0 when there is none."""
     base = min(lifts)
-    buckets = Counter({max(comps): 1})
+    buckets = Counter({max(comps, default=0): 1})
     for lift in lifts:
         if lift != base:
             buckets[max(c for c, x, y in zip(comps, lift, base)

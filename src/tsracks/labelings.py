@@ -9,17 +9,21 @@ they carry the label x to pi^k(x), pi(x) = x > x.  So the diagram is
 compiled once with a cut at each of those points (see _cut_open), and one
 search finds every labeling of the cut-open diagram once, with the kink
 counts k for which it holds (see framed_labelings).  The search runs on
-element indices through the rack's operation columns.
+element indices, through the rack's integer view (see indexed).
 
 For a (t,s)-rack, each c with (t+s)c = c makes x -> x + c a rack
 automorphism that commutes with pi, since (x+c) > (y+c) = x > y + (t+s)c;
 these c form a submodule F that acts freely on the labelings of every
-framing and keeps their kink counts.  So the search gives its first seed
-one element of each coset of F only, and finds one labeling per orbit
-(see labeling_orbits); the count, writhe and additive enhancements read
-the orbits.  The leaf limit still counts |X| values per seed:
-it bounds the plan, and so the inputs refused, for every rack alike.
+framing of a nonempty diagram and keeps their kink counts.  So the
+search gives its first seed one element of each coset of F only, and
+finds one labeling per orbit (see labeling_orbits); the count, writhe
+and additive enhancements read the orbits.  The leaf limit still counts
+|X| values per seed: it bounds the plan, and so the inputs refused, for
+every rack alike.
 """
+
+from math import lcm
+from types import SimpleNamespace
 
 from .errors import ValidationError
 from .modules import TSRack
@@ -33,7 +37,7 @@ def enumerate_homs(diagram, rack):
     the labeling kernel with no cuts.  Deterministic output order: those
     found by the search, then their moves by each further shift."""
     order = diagram.arc_order()
-    elements = operation_columns(rack)[0]
+    elements = indexed(rack).elements
     return [{a: elements[i] for a, i in zip(order, labels)}
             for labels, _ in framed_labelings(diagram, rack, 1)[1]]
 
@@ -52,28 +56,25 @@ def framed_labelings(diagram, rack, period):
 def labeling_orbits(diagram, rack, period):
     """The one labeling search, as (cut, found, shifts) with cut and found
     as in framed_labelings but one labeling found per orbit of the shifts
-    (see translations).  Plans over LEAF_LIMIT leaves are refused.  The
-    search keeps the values left to try at each stage it has entered."""
+    (see indexed), the identity alone for the empty diagram, whose one
+    labeling is its own orbit.  Plans over LEAF_LIMIT leaves are refused.
+    The search keeps the values left to try at each stage it entered."""
     cut = _cut_open(diagram, period)
     comps, crossings, cuts = cut
-    elements, tables = operation_columns(rack)
-    plan = _compile(len(elements), period, crossings, cuts, len(comps))[1]
+    view = indexed(rack)
+    tables, n = view.tables, len(view.elements)
+    plan = _compile(n, period, crossings, cuts, len(comps))[1]
     # per element: its pi-cycle, its place on it, and per j the k in
     # Z_period with pi^k = pi^j there
-    orbits = [None] * len(elements)
-    for x in range(len(elements) if cuts else 0):
-        if orbits[x] is None:
-            cycle = [x]
-            while tables[2][0][cycle[-1]] != x:
-                cycle.append(tables[2][0][cycle[-1]])
-            classes = [tuple(range(j, period, len(cycle)))
-                       for j in range(len(cycle))]
-            for place, y in enumerate(cycle):
-                orbits[y] = cycle, place, classes
-    shifts, firsts = translations(rack)
+    orbits = view.orbits.get(period)
+    if orbits is None and cuts:
+        classes = {m: [tuple(range(j, period, m)) for j in range(m)]
+                   for m in {len(cycle) for cycle, _ in view.cycles}}
+        orbits = view.orbits[period] = [(cycle, place, classes[len(cycle)])
+                                        for cycle, place in view.cycles]
     labels = [0] * len(comps)
     ks = [(0,)] * diagram.component_count
-    found, entered = ([], [iter(firsts)]) if plan else ([((), ())], [])
+    found, entered = ([], [iter(view.firsts)]) if plan else ([((), ())], [])
     while entered:
         (dst, src), steps, checks, ties = plan[len(entered) - 1]
         for labels[dst] in entered[-1]:
@@ -92,13 +93,13 @@ def labeling_orbits(diagram, rack, period):
                 else:
                     if len(entered) < len(plan):  # enter the next stage
                         src = plan[len(entered)][0][1]
-                        entered.append(iter(range(len(elements)) if src is None
+                        entered.append(iter(range(n) if src is None
                                             else orbits[labels[src]][0]))
                         break
                     found.append((tuple(labels), tuple(ks)))
         else:
             entered.pop()
-    return cut, found, shifts
+    return cut, found, view.shifts if plan else view.shifts[:1]
 
 
 def _cut_open(diagram, period):
@@ -216,42 +217,55 @@ def _compile(n, period, crossings, cuts, size):
     return leaves, plan
 
 
-def operation_columns(rack):
-    """(elements, tables) for the rack, kept on the rack.  tables[0][j] is
-    the column i -> index of elements[i] > elements[j] and tables[1][j]
-    the same for >^{-1}, each built on first use.  tables[2] and tables[3]
-    give every j the diagonal i -> index of elements[i] > elements[i] (and
-    >^{-1}), which is all a kink step reads."""
-    if not hasattr(rack, "_label_columns"):
+def indexed(rack):
+    """The rack on element indices, built once and kept on the rack as
+    _indexed, a namespace of
+    - elements, and index (element -> its index);
+    - tables: tables[0][j] the column i -> index of elements[i] >
+      elements[j], tables[1][j] the same for >^{-1}, each built on first
+      use; tables[2] and tables[3] give every j the diagonal i -> index of
+      elements[i] > elements[i] (and >^{-1}), all a kink step reads;
+    - cycles, each element's pi-cycle and its place on it; rank, the lcm
+      of their lengths; orbits, labeling_orbits' tie table per period;
+    - shifts, the columns of x -> x + c for c in F = ker(t+s-1) of a
+      TSRack, identity first, or the identity alone for any other rack;
+      firsts, the least element index of each coset;
+    - for a TSRack only: add, the columns of x -> x + c, built on first
+      use; orders, the additive orders; weights, additive_enhanced's."""
+    view = vars(rack).get("_indexed")
+    if view is None:
         elements = tuple(rack.elements)
         index = {x: i for i, x in enumerate(elements)}
         ops = (rack.op, rack.op_inv)
         tables = [_Columns(op, elements, index) for op in ops]
         tables += [[[index[op(x, x)] for x in elements]] * len(elements)
                    for op in ops]
-        rack._label_columns = elements, tables
-    return rack._label_columns
-
-
-def translations(rack):
-    """(shifts, firsts), kept on the rack: the index columns of x -> x + c
-    for c in F = ker(t+s-1) of a TSRack, the identity alone for any other
-    rack, identity first; and the least element index of each coset."""
-    if not hasattr(rack, "_label_shifts"):
-        elements, tables = operation_columns(rack)
+        view = SimpleNamespace(
+            elements=elements, index=index, tables=tables,
+            cycles=[None] * len(elements), orbits={})
+        for x, there in enumerate(view.cycles):
+            if there is None:
+                cycle = [x]
+                while tables[2][0][cycle[-1]] != x:
+                    cycle.append(tables[2][0][cycle[-1]])
+                for place, y in enumerate(cycle):
+                    view.cycles[y] = cycle, place
+        view.rank = lcm(*{len(cycle) for cycle, _ in view.cycles})
         if isinstance(rack, TSRack):
-            add, index = rack.group.add, tables[0].index
-            shifts = [[index[add(x, c)] for x in elements]
-                      for c in elements if rack.ts_map[c] == c]
+            view.add = _Columns(rack.group.add, elements, index)
+            view.orders = [rack.group.element_order(x) for x in elements]
+            view.weights = {}
+            view.shifts = [view.add[c] for c, x in enumerate(elements)
+                           if rack.ts_map[x] == x]
         else:
-            shifts = [list(range(len(elements)))]
-        firsts, seen = [], set()
+            view.shifts = [list(range(len(elements)))]
+        view.firsts, seen = [], set()
         for x in range(len(elements)):
             if x not in seen:
-                firsts.append(x)
-                seen.update(shift[x] for shift in shifts)
-        rack._label_shifts = shifts, firsts
-    return rack._label_shifts
+                view.firsts.append(x)
+                seen.update(shift[x] for shift in view.shifts)
+        rack._indexed = view
+    return view
 
 
 class _Columns(dict):
@@ -262,8 +276,8 @@ class _Columns(dict):
         self.op, self.elements, self.index = op, elements, index
 
     def __missing__(self, j):
-        y = self.elements[j]
-        column = self[j] = [self.index[self.op(x, y)] for x in self.elements]
+        op, index, y = self.op, self.index, self.elements[j]
+        column = self[j] = [index[op(x, y)] for x in self.elements]
         return column
 
 

@@ -265,13 +265,11 @@ def test_criterion_7_property_suites():
                                           if x.ts(v) == v}
 
     # N-phone-cord periodicity on trefoil and Hopf for all constructed racks
-    from tsracks.invariants import rack_rank_of
-
     small = [make_linear(4, 1, 2), make_linear(4, 3, 2),
              make_quotient(2, [1, 1]), constant_action_rack([2, 1]),
              constant_action_rack([2, 3, 1]), make_linear(6, 5, 2)]
     for rack in small:
-        period = rack_rank_of(rack)
+        period = rack_rank(rack)[0]
         for diagram in (trefoil, hopf):
             kinked = diagram
             for _ in range(period):

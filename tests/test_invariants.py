@@ -25,7 +25,7 @@ from tsracks.invariants import (
 from tsracks.modules import (enumerate_linear, make_linear, make_module,
                              make_quotient, s_submodule, tsrack_from_spec)
 from tsracks.polynomials import InvariantPolynomial, parse_u_polynomial
-from tsracks.racks import constant_action_rack, validate_rack
+from tsracks.racks import constant_action_rack, rack_rank, validate_rack
 
 SIGMA12 = constant_action_rack([2, 1])
 Z4_RACK = make_linear(4, 1, 2)
@@ -267,7 +267,7 @@ class TestSEnhanced:
     def test_projection_check_reads_the_cuts(self):
         # out slot 0, in slot 1 and no crossings: the labels hold for k
         # kinks exactly when out = pi^k(in)
-        tables = labelings.operation_columns(make_quotient(2, [1, 0, 1]))[1]
+        tables = labelings.indexed(make_quotient(2, [1, 0, 1])).tables
         kink = tables[2][0]
         x = next(i for i, y in enumerate(kink) if y != i)
         cuts = [(0, 1, 0)]
@@ -325,9 +325,60 @@ class TestRecovery:
                 assert s_poly.coeff_exponent_sum() == count
 
 
+class TestEmptyDiagram:
+    # The diagram with no components has one labeling, the empty one, in
+    # one framing.  The shifts of a TSRack all fix it, so it is its own
+    # orbit and counts once; the FiniteRack's only shift is the identity.
+    EMPTY = LinkDiagram(())
+
+    @pytest.mark.parametrize("rack", [Z12_RACK, make_quotient(2, [1, 0, 1]),
+                                      R4, SIGMA12],
+                             ids=["Z12", "Q16", "R4", "constant (2 1)"])
+    def test_count_and_writhe(self, rack):
+        assert len(enumerate_homs(self.EMPTY, rack)) == 1
+        assert counting_invariant(self.EMPTY, rack) == 1
+        assert str(writhe_enhanced(self.EMPTY, rack)) == "1"
+
+    @pytest.mark.parametrize("rack", [Z12_RACK, make_quotient(2, [1, 0, 1]),
+                                      R4], ids=["Z12", "Q16", "R4"])
+    def test_enhancements(self, rack):
+        for linear in (False, True):
+            poly, multiset = additive_enhanced(self.EMPTY, rack,
+                                               use_linear_path=linear)
+            assert (str(poly), multiset.counts()) == ("u", {(): 1})
+        for split in (True, False):
+            poly, multiset = s_enhanced(self.EMPTY, rack, split_fibers=split)
+            assert (str(poly), multiset.counts()) == ("u", {1: 1})
+
+
+class TestIntegerView:
+    def test_one_attribute_built_once(self):
+        # every invariant reads the one view that labelings.indexed keeps
+        # on the rack, and a second round builds nothing new
+        q16 = make_quotient(2, [1, 0, 1])
+        constant = constant_action_rack([2, 3, 1, 5, 4])
+        rounds = {
+            q16: [counting_invariant, writhe_enhanced, additive_enhanced,
+                  lambda d, x: additive_enhanced(d, x, use_linear_path=True),
+                  s_enhanced,
+                  lambda d, x: s_enhanced(d, x, split_fibers=False)],
+            constant: [counting_invariant, writhe_enhanced],
+        }
+        for rack, invariants_run in rounds.items():
+            before = set(vars(rack))
+            views = []
+            for _ in range(2):
+                for run in invariants_run:
+                    run(TREFOIL, rack)
+                    run(HOPF, rack)
+                assert len(set(vars(rack)) - before) == 1
+                views.append(labelings.indexed(rack))
+            assert views[0] is views[1]
+
+
 def plan_leaves(diagram, rack):
     """The leaf bound of the one-search plan of the diagram by the rack."""
-    period = invariants.rack_rank_of(rack)
+    period = rack_rank(rack)[0]
     comps, crossings, cuts = labelings._cut_open(diagram, period)
     return labelings._compile(len(rack.elements), period, crossings, cuts,
                                len(comps))[0]
@@ -427,9 +478,7 @@ class TestFramingPeriodicity:
     @pytest.mark.parametrize("diagram", [TREFOIL, HOPF])
     def test_n_phone_cord(self, diagram, rack):
         from tsracks.diagrams import add_kink
-        from tsracks.invariants import rack_rank_of
-
-        period = rack_rank_of(rack)
+        period = rack_rank(rack)[0]
         kinked = diagram
         for _ in range(period):
             kinked = add_kink(kinked, 0, +1)

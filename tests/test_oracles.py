@@ -15,17 +15,17 @@ from oracles import (RACK, OP_INV, additive_oracle, additive_weight_oracle,
                      labeling_oracle, op, tsrack_validation_oracle)
 from test_tsrack_validation import GROUPS, _cases, _constructor_outcome
 from tsracks.atlas import load_corpus
-from tsracks.diagrams import add_kink, framed_family, parse_braid, unknot_diagram
+from tsracks.diagrams import (LinkDiagram, add_kink, framed_family,
+                              parse_braid, unknot_diagram)
 from tsracks.errors import ValidationError
 from tsracks.invariants import (_image, _span_weight, additive_enhanced,
                                 counting_invariant, enumerate_homs,
-                                image_subrack, rack_rank_of, writhe_enhanced)
+                                image_subrack, writhe_enhanced)
 from tsracks.labelings import (LEAF_LIMIT, _compile, _cut_open,
-                               framed_labelings, operation_columns,
-                               translations)
+                               framed_labelings, indexed)
 from tsracks.modules import (TSRack, enumerate_linear, make_linear,
                              make_module, make_quotient, s_submodule)
-from tsracks.racks import conjugation_rack, constant_action_rack
+from tsracks.racks import conjugation_rack, constant_action_rack, rack_rank
 
 TESTS = Path(__file__).resolve().parent
 
@@ -56,7 +56,8 @@ def labeling_cases():
     n <= 6, but the two of rack rank 4 on Z_5: the Hopf link framed
     (3, 3) alone would cost the oracle 5^8 assignments with either.  The
     constant rack (2 1 4 5 3) has rack rank 6 above its order 5, so its
-    plans never branch at a cut."""
+    plans never branch at a cut.  The empty diagram, with no components,
+    has one labeling by every rack."""
     corpus = load_corpus()
     trefoil = parse_braid(2, [1, 1, 1])
     diagrams = {
@@ -65,6 +66,7 @@ def labeling_cases():
         "4_1": corpus["4_1"], "L2a1": corpus["L2a1"],
         "braid 3: 1 -2 1 -2": parse_braid(3, [1, -2, 1, -2]),
         "trefoil with a negative kink": add_kink(trefoil, 0, -1),
+        "empty": LinkDiagram(()),
     }
     racks = {
         "constant (2 3 1)": constant_action_rack([2, 3, 1]),
@@ -88,7 +90,7 @@ def labeling_mismatches():
     disagree; no assert, so it also runs under python -O."""
     bad = []
     for rack_name, rack, name, diagram in labeling_cases():
-        for w, d in framed_family(diagram, rack_rank_of(rack)).items():
+        for w, d in framed_family(diagram, rack_rank(rack)[0]).items():
             got = {tuple(sorted(f.items())) for f in enumerate_homs(d, rack)}
             if got != labeling_oracle(d, rack):
                 bad.append((rack_name, name, w))
@@ -124,7 +126,7 @@ def count_mismatches():
     size.  No assert, so it also runs under python -O."""
     bad = []
     for rack_name, rack, name, diagram in labeling_cases():
-        family = framed_family(diagram, rack_rank_of(rack))
+        family = framed_family(diagram, rack_rank(rack)[0])
         counts = {w: len(labeling_oracle(d, rack)) for w, d in family.items()}
         if counting_invariant(diagram, rack) != sum(counts.values()):
             bad.append((rack_name, name, "count"))
@@ -188,14 +190,18 @@ def test_additive_matches_oracle_under_optimize():
 
 
 def translation_mismatches():
-    """Every (rack, rule) where the translation table of
-    labelings.translations breaks a rule.  Each shift is a bijection that
-    commutes with > and >^{-1} on the operation columns and with the kink
-    map, and only the identity, listed first, fixes an element.  The
-    shifts are closed under composition; for a TSRack there is one per
-    element c with (t+s)c = c, for any other rack only the identity.  The
-    first seeds number |X| / |shifts| and meet every orbit of the
-    shifts, so each once.  No assert, so it also runs under python -O."""
+    """Every (rack, rule) where the integer view of labelings.indexed
+    breaks a rule.  Each element sits at its place on its pi-cycle, and
+    pi maps each cycle's j-th element to its next; the rank is
+    racks.rack_rank's, and TSRack.rack_rank's too.  Each shift is a
+    bijection that commutes with > and >^{-1} on the operation columns and
+    with the kink map, and only the identity, listed first, fixes an
+    element.  The shifts are closed under composition; for a TSRack they
+    are the add columns x -> x + c of the c with (t+s)c = c, in element
+    order, and for any other rack the identity alone.  A TSRack's
+    additive orders are its group's.  The first seeds number
+    |X| / |shifts| and meet every orbit of the shifts, so each once.  No
+    assert, so it also runs under python -O."""
     racks = {
         "Q16": make_quotient(2, [1, 0, 1]),
         "quotient(3, [1, 1])": make_quotient(3, [1, 1]),
@@ -209,16 +215,31 @@ def translation_mismatches():
             racks["linear(%d, %d, %d)" % (n, t, s)] = make_linear(n, t, s)
     bad = []
     for name, rack in racks.items():
-        elements, tables = operation_columns(rack)
-        shifts, firsts = translations(rack)
+        view = indexed(rack)
+        elements, tables = view.elements, view.tables
+        shifts, firsts = view.shifts, view.firsts
         n = len(elements)
         identity = list(range(n))
         ops = [[tables[kind][j] for j in identity] for kind in (0, 1)]
         kink = tables[2][0]
+        if view.rank != rack_rank(rack)[0] or (
+                isinstance(rack, TSRack) and view.rank != rack.rack_rank()):
+            bad.append((name, "rank"))
+        for x, (cycle, place) in enumerate(view.cycles):
+            if cycle[place] != x or kink[x] != cycle[(place + 1) % len(cycle)]:
+                bad.append((name, "cycle"))
         fixed = ([c for c in elements if rack.op(c, c) == c]
                  if isinstance(rack, TSRack) else [None])
         if shifts[0] != identity or len(shifts) != len(fixed):
             bad.append((name, "shift count"))
+        if isinstance(rack, TSRack):
+            group = rack.group
+            if view.orders != [group.element_order(x) for x in elements]:
+                bad.append((name, "orders"))
+            for f, c in zip(shifts, fixed):
+                if f != view.add[view.index[c]] or f != [
+                        view.index[group.add(x, c)] for x in elements]:
+                    bad.append((name, "not the add column"))
         for f in shifts:
             if sorted(f) != identity:
                 bad.append((name, "not a bijection"))
@@ -272,7 +293,7 @@ def framing_mismatches():
     }
     bad = []
     for rack_name, rack in racks.items():
-        period, elements = rack_rank_of(rack), rack.elements
+        period, elements = rack_rank(rack)[0], rack.elements
         for name, diagram in diagrams.items():
             (_, _, cuts), found = framed_labelings(diagram, rack, period)
             got = {}
@@ -336,7 +357,7 @@ def plan_mismatches():
         "linear(5, 2, 0)": make_linear(5, 2, 0),
         "constant (2 1 4 5 3)": constant_action_rack([2, 1, 4, 5, 3]),
     }
-    cases = [(rack_name, name, len(rack.elements), rack_rank_of(rack), d)
+    cases = [(rack_name, name, len(rack.elements), rack_rank(rack)[0], d)
              for rack_name, rack in racks.items()
              for name, d in load_corpus().items()]
     cases += [("|X| = %d, N = %d" % (n, period), name, n, period, d)
@@ -415,10 +436,10 @@ def weight_mismatches():
     bad = []
     for name, rack in racks.items():
         elements = list(rack.elements)
-        columns = operation_columns(rack)[1][0]
+        view = indexed(rack)
         for _ in range(6):
             labels = rng.sample(elements, rng.randint(1, min(3, len(elements))))
-            image = _image(columns, {columns.index[x] for x in labels})
+            image = _image(view.tables[0], {view.index[x] for x in labels})
             if _span_weight(rack, image) != additive_weight_oracle(rack, labels):
                 bad.append((name, labels))
     return bad

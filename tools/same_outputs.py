@@ -29,8 +29,11 @@ same values give byte-identical files:
     python3 tools/same_outputs.py NEW_CHECKOUT SPEC... > new.json
     cmp old.json new.json
 
-A SPEC is a rack spec as the command line takes it, for example
-'{"type": "quotient", "n": 2, "p": [1, 0, 1]}'.  Only the named
+A SPEC is a rack as the command line's --rack takes it: a spec, for
+example '{"type": "quotient", "n": 2, "p": [1, 0, 1]}', or rack-matrix
+text (its size, then one row per line), or a file holding either.  A
+matrix rack has no module structure, so its additive and s-enhanced
+entries record the WrongStructureError they raise.  Only the named
 checkout's src/ is imported.
 """
 
@@ -71,11 +74,17 @@ def outcome(fn, *args, **kwargs):
     return value if isinstance(value, (int, list)) else str(value)
 
 
+def element(x):
+    """A rack element as JSON data: a module element's coordinates as a
+    list, a matrix rack's element as its number."""
+    return list(x) if isinstance(x, tuple) else x
+
+
 def linear_labelings(ts, diagram, rack):
     """Per framing, the ordered labelings of enumerate_homs_linear as
     [arc, value] pairs."""
-    family = ts.diagrams.framed_family(diagram, rack.rack_rank())
-    return [[list(w), [[[a, list(x)] for a, x in f.items()]
+    family = ts.diagrams.framed_family(diagram, ts.racks.rack_rank(rack)[0])
+    return [[list(w), [[[a, element(x)] for a, x in f.items()]
                        for f in ts.invariants.enumerate_homs_linear(d, rack)]]
             for w, d in family.items()]
 
@@ -83,8 +92,8 @@ def linear_labelings(ts, diagram, rack):
 def kernel_labelings(ts, diagram, rack):
     """Per framing, the labelings of enumerate_homs as sorted lists of
     [arc, value] pairs, in sorted order."""
-    family = ts.diagrams.framed_family(diagram, rack.rack_rank())
-    return [[list(w), sorted([[a, list(x)] for a, x in sorted(f.items())]
+    family = ts.diagrams.framed_family(diagram, ts.racks.rack_rank(rack)[0])
+    return [[list(w), sorted([[a, element(x)] for a, x in sorted(f.items())]
                              for f in ts.invariants.enumerate_homs(d, rack))]
             for w, d in family.items()]
 
@@ -93,11 +102,11 @@ def plan_outline(ts, diagram, rack):
     """(leaves, branches) of the labeling plan of the diagram by the rack:
     its leaf bound and the branch of each stage, or "refused" for both
     for a plan over LEAF_LIMIT."""
-    lab, period = ts.labelings, rack.rack_rank()
+    lab, period = ts.labelings, ts.racks.rack_rank(rack)[0]
     comps, crossings, cuts = lab._cut_open(diagram, period)
     try:
-        leaves, plan = lab._compile(rack.order, period, crossings, cuts,
-                                    len(comps))
+        leaves, plan = lab._compile(len(rack.elements), period, crossings,
+                                    cuts, len(comps))
     except ts.errors.ValidationError:
         return "refused", "refused"
     if leaves > lab.LEAF_LIMIT:
@@ -123,7 +132,7 @@ def dump(ts, specs):
     corpus = ts.atlas.load_corpus()
     out = {}
     for text in specs:
-        rack = ts.modules.tsrack_from_spec(json.loads(text))
+        rack = ts.cli._RackSource(text).rack
         out[text] = {}
         for name, d in corpus.items():
             leaves, plan = plan_outline(ts, d, rack)
@@ -132,8 +141,7 @@ def dump(ts, specs):
                 "writhe": outcome(inv.writhe_enhanced, d, rack),
                 "additive": outcome(inv.additive_enhanced, d, rack),
                 "additive_fresh": outcome(
-                    inv.additive_enhanced, d,
-                    ts.modules.tsrack_from_spec(json.loads(text))),
+                    inv.additive_enhanced, d, ts.cli._RackSource(text).rack),
                 "s_split": outcome(inv.s_enhanced, d, rack,
                                    split_fibers=True),
                 "s_plain": outcome(inv.s_enhanced, d, rack,
@@ -160,7 +168,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("checkout", help="repository root holding src/")
     parser.add_argument("specs", nargs="+", metavar="SPEC",
-                        help="rack spec as JSON text")
+                        help="rack spec as JSON text, or rack-matrix text")
     args = parser.parse_args(argv)
     ts = import_checkout(args.checkout)
     json.dump(dump(ts, args.specs), sys.stdout, sort_keys=True, indent=1)
