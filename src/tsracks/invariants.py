@@ -2,7 +2,7 @@
 
 Labelings correspond to rack homomorphisms from the fundamental rack of
 the framed diagram into the rack X; they come from the labeling kernel
-(see labelings.framed_labelings), which finds those of all framings in
+(see labelings.labeling_orbits), which finds those of all framings in
 one search.  The counting invariant sums labeling counts over a full
 period of framings (Z_N)^c, N the rack rank of X.  The enhancements
 refine the count: by the framing vector (writhe-enhanced), by the
@@ -12,7 +12,7 @@ structure), or by the projected labeling under multiplication by s
 """
 
 from collections import Counter
-from itertools import product
+from itertools import accumulate, product
 from math import prod
 from operator import mul
 
@@ -20,8 +20,7 @@ from .errors import ConsistencyError, WrongStructureError
 from .groups import census_factors
 # enumerate_homs is named here too, where callers and the benchmark's
 # tracer find it
-from .labelings import (enumerate_homs, framed_labelings, holds, indexed,
-                        labeling_orbits)
+from .labelings import enumerate_homs, indexed, labeling_orbits
 from .modules import TSRack
 from .polynomials import InvariantPolynomial
 from .diagrams import framed_family
@@ -135,17 +134,25 @@ def counting_invariant(diagram, rack):
 def writhe_enhanced(diagram, rack):
     """Labeling counts kept separate per framing vector, as coefficients
     of q_1^{w_1}...q_c^{w_c}; the framing with k_i kinks on component i
-    is w_i = (k_i + writhe_i) mod N.  As counting_invariant, each labeling
-    found stands for one per shift."""
+    is w_i = (k_i + writhe_i) mod N."""
     period = indexed(rack).rank
-    _, found, shifts = labeling_orbits(diagram, rack, period)
     base = diagram.writhe_vector()
     terms = Counter()
+    for k, count in _framing_counts(diagram, rack, period).items():
+        terms[0, tuple((a + b) % period for a, b in zip(k, base))] += count
+    return InvariantPolynomial(terms)
+
+
+def _framing_counts(diagram, rack, period):
+    """N_k, the number of labelings with k_i kinks on component i, for
+    each k in (Z_period)^c that has any: as counting_invariant, each
+    labeling found stands for one per shift."""
+    _, found, shifts = labeling_orbits(diagram, rack, period)
+    counts = Counter()
     for ks, count in Counter(ks for _, ks in found).items():
         for k in product(*ks):
-            terms[0, tuple((a + b) % period for a, b in zip(k, base))] += (
-                count * len(shifts))
-    return InvariantPolynomial(terms)
+            counts[k] += count * len(shifts)
+    return counts
 
 
 def _require_module(rack):
@@ -258,57 +265,47 @@ def s_enhanced(diagram, rack, split_fibers=True):
     """s-enhancement: group labelings by their projection to the
     subquandle sX (multiply every label by s) and record fiber sizes.
 
-    Projections of valid labelings are valid sX-labelings, and each is
-    checked against the crossings and cuts on X's own operation columns,
-    as sX is a subrack of X with the restricted operation; sX-labelings
-    with empty fiber are not counted (they would add spurious constant
-    terms the fiber structure does not contain).
+    The labelings L_k of framing k (k_i kinks on component i) form a
+    submodule, so each nonempty fiber is a coset of K_k, those with every
+    label in ker s, and there are N_k / |K_k| of them, N_k = |L_k| read
+    off the orbit search.  On ker s, x > y = tx and pi = t: a labeling in
+    K_k is one x_i in ker s per component i with t^(u_i + k_i) x_i = x_i,
+    u_i the signed count of the crossings that component i passes under.
+    So |K_k| = f_0...f_(c-1), f_i the number of x in ker s whose pi-cycle
+    length divides u_i + k_i; a |K_k| that does not divide N_k raises
+    ConsistencyError.
 
-    With split_fibers=True (the default, and the reading that reproduces
-    the reference value tables) each fiber is further broken up along
-    the link components: lifts are bucketed by the last component on
-    which they differ from the least lift, the least lift itself counting
-    toward the last component's bucket, and each bucket contributes its
-    own u^size term.  For knots this coincides with the plain fiber count.
-    A fiber is a coset of the labelings with labels in ker s, so the
-    bucket sizes do not depend on which lift is least; they do depend on
-    the component numbering, so on links this reading is no invariant.
-    With split_fibers=False every fiber contributes a single term
-    u^{|fiber|}.
+    With split_fibers=False each fiber contributes u^|K_k|.  With
+    split_fibers=True (the default, and the reading that reproduces the
+    reference value tables) its lifts are bucketed by the last component
+    on which they differ from the least lift, which counts toward the
+    last component's bucket, and each bucket contributes its own u^size
+    term: (f_i - 1) f_0...f_(i-1) lifts in bucket i, one more in the
+    last, empty buckets dropped, and 1 with no components.  For knots
+    this is the plain reading; on links it depends on the component
+    numbering, so it is no invariant.
     """
     _require_module(rack)
     view = indexed(rack)
-    (comps, crossings, cuts), found = framed_labelings(diagram, rack,
-                                                       view.rank)
-    s_of = [view.index[rack.s_map[x]] for x in view.elements]
-    fibers = {}
-    for labels, ks in found:
-        projected = tuple([s_of[i] for i in labels])
-        for k in product(*ks):
-            fibers.setdefault((k, projected), []).append(labels)
-    for k, projected in fibers:
-        if not holds(view.tables, projected, k, crossings, cuts):
-            raise ConsistencyError(
-                "an s-projected labeling is not an sX-labeling")
-    terms = Counter()
-    multiset = EnhancedMultiset()
-    for lifts in fibers.values():
-        for size in (_component_buckets(comps, lifts) if split_fibers
-                     else [len(lifts)]):
-            terms[size, ()] += 1
-            multiset.add(size)
+    kernel = [len(cycle) for (cycle, _), x in zip(view.cycles, view.elements)
+              if rack.s_map[x] == rack.group.zero]
+    under = [0] * diagram.component_count
+    for c in diagram.crossings:
+        under[diagram.component_of[c.under_in]] += c.sign
+    terms, multiset = Counter(), EnhancedMultiset()
+    for k, count in _framing_counts(diagram, rack, view.rank).items():
+        fixed = [sum((u + j) % m == 0 for m in kernel)
+                 for u, j in zip(under, k)]
+        prefix = list(accumulate(fixed, mul, initial=1))
+        fibers, left = divmod(count, prefix[-1])
+        if left:
+            raise ConsistencyError("the labelings of a framing are no "
+                                   "union of cosets of those in ker s")
+        sizes = prefix[-1:]
+        if split_fibers:
+            sizes = [b - a for a, b in zip(prefix, prefix[1:])] or [0]
+            sizes[-1] += 1
+        for size in filter(None, sizes):
+            terms[size, ()] += fibers
+            multiset.add(size, fibers)
     return InvariantPolynomial(terms), multiset
-
-
-def _component_buckets(comps, lifts):
-    """Split a fiber by the last component where a lift leaves the least
-    lift, comps the component of each slot; the least lift itself lands
-    in the final component's bucket, component 0 when there is none."""
-    base = min(lifts)
-    buckets = Counter({max(comps, default=0): 1})
-    for lift in lifts:
-        if lift != base:
-            buckets[max(c for c, x, y in zip(comps, lift, base)
-                        if x != y)] += 1
-    return list(buckets.values())
-

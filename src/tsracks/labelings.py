@@ -16,10 +16,11 @@ automorphism that commutes with pi, since (x+c) > (y+c) = x > y + (t+s)c;
 these c form a submodule F that acts freely on the labelings of every
 framing of a nonempty diagram and keeps their kink counts.  So the
 search gives its first seed one element of each coset of F only, and
-finds one labeling per orbit (see labeling_orbits); the count, writhe
-and additive enhancements read the orbits.  The leaf limit still counts
-|X| values per seed: it bounds the plan, and so the inputs refused, for
-every rack alike.
+finds one labeling per orbit (see labeling_orbits); the count, writhe,
+additive and s-enhancements read the orbits, and framed_labelings, which
+moves each orbit's labeling by every shift, serves only enumerate_homs.
+The leaf limit still counts |X| values per seed: it bounds the plan, and
+so the inputs refused, for every rack alike.
 """
 
 from math import lcm
@@ -280,16 +281,3 @@ class _Columns(dict):
         column = self[j] = [index[op(x, y)] for x in self.elements]
         return column
 
-
-def holds(tables, g, k, crossings, cuts):
-    """Whether the slot labels g, element indices of the rack with
-    operation columns ``tables``, hold at every crossing and at every cut
-    with k[i] kinks on component i."""
-    for i, into, out in cuts:
-        x = g[into]
-        for _ in range(k[i]):
-            x = tables[2][0][x]
-        if x != g[out]:
-            return False
-    return all(tables[sign < 0][g[over]][g[src]] == g[dst]
-               for sign, over, src, dst in crossings)

@@ -16,11 +16,11 @@ from oracles import (RACK, OP_INV, additive_oracle, additive_weight_oracle,
 from test_tsrack_validation import GROUPS, _cases, _constructor_outcome
 from tsracks.atlas import load_corpus
 from tsracks.diagrams import (LinkDiagram, add_kink, framed_family,
-                              parse_braid, unknot_diagram)
+                              parse_braid, parse_link, unknot_diagram)
 from tsracks.errors import ValidationError
 from tsracks.invariants import (_image, _span_weight, additive_enhanced,
                                 counting_invariant, enumerate_homs,
-                                image_subrack, writhe_enhanced)
+                                image_subrack, s_enhanced, writhe_enhanced)
 from tsracks.labelings import (LEAF_LIMIT, _compile, _cut_open,
                                framed_labelings, indexed)
 from tsracks.modules import (TSRack, enumerate_linear, make_linear,
@@ -187,6 +187,74 @@ def test_additive_matches_oracle():
 def test_additive_matches_oracle_under_optimize():
     # the span closure raises, and the weights kept on the rack are code
     assert mismatches_under_optimize("additive_mismatches") == "[]"
+
+
+def s_mismatches():
+    """Every (rack, diagram, part) where s_enhanced disagrees with brute
+    force, for each TSRack of labeling_cases and three more, by the
+    diagrams of labeling_cases and, on the racks of order at most 8, by
+    two three-component links.  On each diagram of framed_family the
+    labelings that labeling_oracle gives are grouped by their projection
+    f -> s f; each projection must be a labeling of that diagram by sX
+    (s_submodule), and both readings are taken as the s_enhanced
+    docstring defines them, each fiber's lifts bucketed by the last
+    component on which they differ from its least lift.  No assert, so it
+    also runs under python -O."""
+    cases = [case for case in labeling_cases() if isinstance(case[1], TSRack)]
+    # t has order 3 on ker s: ker s = X for linear(7, 2, 0), and Z2^2 in
+    # Z2^2 + Z3; with linear(8, 3, 4) the split reading of the Hopf link
+    # and a split unknot changes when the components are renumbered
+    racks = {"linear(7, 2, 0)": make_linear(7, 2, 0),
+             "Z2^2 + Z3": make_module([2, 2, 3],
+                                      [[0, 1, 0], [1, 1, 0], [0, 0, 2]],
+                                      [[0, 0, 0], [0, 0, 0], [0, 0, 2]]),
+             "linear(8, 3, 4)": make_linear(8, 3, 4)}
+    cases += [(rack_name, rack, name, diagram)
+              for rack_name, rack in racks.items()
+              for name, diagram in dict(c[2:] for c in cases).items()]
+    links = {"braid 3: 1 1 2 2": parse_braid(3, [1, 1, 2, 2]),
+             "Hopf and an unknot": parse_link("braid: 2: 1 1; unknots: 1")}
+    cases += [(rack_name, rack, name, link)
+              for rack_name, rack in dict(c[:2] for c in cases).items()
+              if len(rack.elements) <= 8 for name, link in links.items()]
+    bad = []
+    for rack_name, rack, name, diagram in cases:
+        sub = s_submodule(rack)
+        split, plain = Counter(), Counter()
+        for d in framed_family(diagram, rack.rack_rank()).values():
+            fibers = {}
+            for f in labeling_oracle(d, rack):
+                fibers.setdefault(tuple((a, rack.s_map[x]) for a, x in f),
+                                  []).append(f)
+            if not set(fibers) <= labeling_oracle(d, sub):
+                bad.append((rack_name, name, "projection"))
+            last = max(d.component_of.values(), default=0)
+            for lifts in fibers.values():
+                plain[len(lifts)] += 1
+                base = min(lifts)
+                buckets = Counter({last: 1})
+                for lift in lifts:
+                    if lift != base:
+                        buckets[max(d.component_of[a] for (a, x), (_, y)
+                                    in zip(lift, base) if x != y)] += 1
+                split.update(buckets.values())
+        for reading, want in (("split", split), ("plain", plain)):
+            poly, multiset = s_enhanced(diagram, rack,
+                                        split_fibers=reading == "split")
+            if {u: c for u, _, c in poly.terms()} != want:
+                bad.append((rack_name, name, reading, "polynomial"))
+            if multiset.counts() != dict(want):
+                bad.append((rack_name, name, reading, "multiset"))
+    return bad
+
+
+def test_s_enhanced_matches_oracle():
+    assert s_mismatches() == []
+
+
+def test_s_enhanced_matches_oracle_under_optimize():
+    # the coset count check raises, and the fixed points are code
+    assert mismatches_under_optimize("s_mismatches") == "[]"
 
 
 def translation_mismatches():

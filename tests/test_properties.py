@@ -6,19 +6,22 @@ invariant, polynomial and multiset, is the same on three other diagrams
 of its closure: the diagram re-read from its PD code (pd_code, then
 parse_link, which hands it to parse_pd), the word conjugated by a
 generator, and a Markov stabilisation onto one more strand.  The
-invariants are the additive enhancement with Q16 and with Z12, and the
-s-enhancement with whole fibers (split_fibers=False) with R4 and with
-Q16.  The default split reading is left out: it depends on how the
-components are numbered, which conjugation can change (see
-test_invariants.py, test_s_enhanced_ignores_component_order).  Runs
-repeat: hypothesis draws from a fixed seed and keeps no example
-database.
+invariants are the counting invariant and the additive enhancement with
+Q16 and with Z12, the writhe enhancement with the same racks on the
+draws whose closure is a knot, and the s-enhancement with whole fibers
+(split_fibers=False) with R4 and with Q16.  The default split reading is
+left out: it depends on how the components are numbered, which
+conjugation can change (see test_invariants.py,
+test_s_enhanced_ignores_component_order); so do the q variables of the
+writhe enhancement on links.  Runs repeat: hypothesis draws from a fixed
+seed and keeps no example database.
 """
 
 from hypothesis import given, seed, settings, strategies as st
 
 from tsracks.diagrams import parse_braid, parse_link, pd_code
-from tsracks.invariants import additive_enhanced, s_enhanced
+from tsracks.invariants import (additive_enhanced, counting_invariant,
+                                s_enhanced, writhe_enhanced)
 from tsracks.modules import make_linear, make_quotient
 
 Q16 = make_quotient(2, [1, 0, 1])
@@ -68,3 +71,18 @@ def test_plain_s_enhanced_survives_diagram_moves(case):
         for move, other in others.items():
             assert s_enhanced(other, rack, split_fibers=False) == want, \
                 (rack_name, move)
+
+
+@seed(2010)
+@settings(database=None, max_examples=80, deadline=None)
+@given(moves())
+def test_count_and_writhe_survive_diagram_moves(case):
+    diagram, others = diagrams(case)
+    for rack_name, rack in RACKS.items():
+        count = counting_invariant(diagram, rack)
+        writhe = writhe_enhanced(diagram, rack)
+        for move, other in others.items():
+            assert counting_invariant(other, rack) == count, (rack_name, move)
+            if diagram.component_count == 1:
+                assert writhe_enhanced(other, rack) == writhe, \
+                    (rack_name, move)
