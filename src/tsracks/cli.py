@@ -69,10 +69,6 @@ class _RackSource:
             self.spec = {"type": "matrix", "matrix":
                          [list(r) for r in self.rack.op_matrix]}
 
-    def spec_hash(self):
-        return hashlib.sha256(
-            json.dumps(self.spec, sort_keys=True).encode()).hexdigest()
-
 
 def _link_source(text):
     text = text.strip()
@@ -85,7 +81,7 @@ def _compute_record(source, link_spec, kind):
     diagram, rack = parse_link(link_spec), source.rack
     record = dict.fromkeys(OUTPUT_TYPES)
     record.update(invariant=kind, rack_spec=source.spec,
-                  rack_spec_hash=source.spec_hash(), link_spec=link_spec,
+                  rack_spec_hash=_digest(source.spec), link_spec=link_spec,
                   version=__version__)
     if kind == "count":
         record["counting_value"] = counting_invariant(diagram, rack)
@@ -116,9 +112,11 @@ def _cache_dir(args):
     return args.cache_dir or os.environ.get(CACHE_ENV)
 
 
-def _cache_key(record_inputs):
+def _digest(value):
+    """The hex sha256 of value's sorted-key JSON: a rack spec's hash in
+    its records, and the cache key of a record's inputs."""
     return hashlib.sha256(
-        json.dumps(record_inputs, sort_keys=True).encode()).hexdigest()
+        json.dumps(value, sort_keys=True).encode()).hexdigest()
 
 
 def cache_lookup(cache_dir, key):
@@ -156,8 +154,8 @@ def cache_store(cache_dir, key, record):
 def _cached_record(args, source, link_spec, kind):
     cache_dir = _cache_dir(args)
     if cache_dir:
-        key = _cache_key({"rack": source.spec, "link": link_spec,
-                          "kind": kind, "version": __version__})
+        key = _digest({"rack": source.spec, "link": link_spec,
+                       "kind": kind, "version": __version__})
         hit = cache_lookup(cache_dir, key)
         inputs = {"rack_spec": source.spec, "link_spec": link_spec,
                   "invariant": kind, "version": __version__}

@@ -108,9 +108,6 @@ class EnhancedMultiset(Counter):
     """Multiset of labeling signatures: invariant-factor tuples for the
     additive enhancement, fiber cardinalities for the s-enhancement."""
 
-    def add(self, entry, count=1):
-        self[entry] += count
-
     def entries(self):
         return sorted(self.elements())
 
@@ -127,7 +124,7 @@ def counting_invariant(diagram, rack):
     kernel finds one labeling per orbit of the translations of a
     (t,s)-rack (labelings.labeling_orbits), and each orbit has one
     labeling per shift, all with the same kink counts."""
-    _, found, shifts = labeling_orbits(diagram, rack, indexed(rack).rank)
+    found, shifts = labeling_orbits(diagram, rack, indexed(rack).rank)
     return len(shifts) * sum(prod(map(len, ks)) for _, ks in found)
 
 
@@ -147,7 +144,7 @@ def _framing_counts(diagram, rack, period):
     """N_k, the number of labelings with k_i kinks on component i, for
     each k in (Z_period)^c that has any: as counting_invariant, each
     labeling found stands for one per shift."""
-    _, found, shifts = labeling_orbits(diagram, rack, period)
+    found, shifts = labeling_orbits(diagram, rack, period)
     counts = Counter()
     for ks, count in Counter(ks for _, ks in found).items():
         for k in product(*ks):
@@ -242,7 +239,7 @@ def additive_enhanced(diagram, rack, use_linear_path=False):
             for f in enumerate_homs_linear(d, rack):
                 label_sets[frozenset(view.index[x] for x in f.values())] += 1
     else:
-        _, found, shifts = labeling_orbits(diagram, rack, view.rank)
+        found, shifts = labeling_orbits(diagram, rack, view.rank)
         for labels, ks in found:
             label_sets[frozenset(labels)] += prod(map(len, ks))
     images = Counter()
@@ -257,7 +254,7 @@ def additive_enhanced(diagram, rack, use_linear_path=False):
                 view.weights[moved] = _span_weight(rack, moved)
             size, factors = view.weights[moved]
             terms[size, ()] += count
-            multiset.add(factors, count)
+            multiset[factors] += count
     return InvariantPolynomial(terms), multiset
 
 
@@ -307,5 +304,5 @@ def s_enhanced(diagram, rack, split_fibers=True):
             sizes[-1] += 1
         for size in filter(None, sizes):
             terms[size, ()] += fibers
-            multiset.add(size, fibers)
+            multiset[size] += fibers
     return InvariantPolynomial(terms), multiset

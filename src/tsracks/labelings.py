@@ -8,7 +8,7 @@ kinks that add_kink puts at the start of component i's first arc, where
 they carry the label x to pi^k(x), pi(x) = x > x.  So the diagram is
 compiled once with a cut at each of those points (see _cut_open), and one
 search finds every labeling of the cut-open diagram once, with the kink
-counts k for which it holds (see framed_labelings).  The search runs on
+counts k for which it holds (see labeling_orbits).  The search runs on
 element indices, through the rack's integer view (see indexed).
 
 For a (t,s)-rack, each c with (t+s)c = c makes x -> x + c a rack
@@ -16,9 +16,9 @@ automorphism that commutes with pi, since (x+c) > (y+c) = x > y + (t+s)c;
 these c form a submodule F that acts freely on the labelings of every
 framing of a nonempty diagram and keeps their kink counts.  So the
 search gives its first seed one element of each coset of F only, and
-finds one labeling per orbit (see labeling_orbits); the count, writhe,
-additive and s-enhancements read the orbits, and framed_labelings, which
-moves each orbit's labeling by every shift, serves only enumerate_homs.
+finds one labeling per orbit; the count, writhe, additive and
+s-enhancements read the orbits, and only enumerate_homs moves each
+orbit's labeling by every shift.
 The leaf limit still counts |X| values per seed: it bounds the plan, and
 so the inputs refused, for every rack alike.
 """
@@ -39,29 +39,22 @@ def enumerate_homs(diagram, rack):
     found by the search, then their moves by each further shift."""
     order = diagram.arc_order()
     elements = indexed(rack).elements
-    return [{a: elements[i] for a, i in zip(order, labels)}
-            for labels, _ in framed_labelings(diagram, rack, 1)[1]]
-
-
-def framed_labelings(diagram, rack, period):
-    """The labelings of all framings in (Z_period)^c, as
-    (_cut_open(diagram, period), found): those of labeling_orbits, each
-    moved by every shift.  found lists (labels, ks): element indices per
-    slot and, per component, the k with out = pi^k(in) at its cut; the
-    labeling belongs to every framing in the product of those k-sets."""
-    cut, found, shifts = labeling_orbits(diagram, rack, period)
-    return cut, [(tuple([shift[i] for i in labels]), ks)
-                 for shift in shifts for labels, ks in found]
+    found, shifts = labeling_orbits(diagram, rack, 1)
+    return [{a: elements[shift[i]] for a, i in zip(order, labels)}
+            for shift in shifts for labels, _ in found]
 
 
 def labeling_orbits(diagram, rack, period):
-    """The one labeling search, as (cut, found, shifts) with cut and found
-    as in framed_labelings but one labeling found per orbit of the shifts
-    (see indexed), the identity alone for the empty diagram, whose one
+    """The one labeling search over all framings in (Z_period)^c, as
+    (found, shifts).  found lists (labels, ks), one labeling per orbit of
+    the shifts (see indexed): element indices per slot of
+    _cut_open(diagram, period) and, per component, the k with
+    out = pi^k(in) at its cut; the labeling belongs to every framing in
+    the product of those k-sets, and so does each of its moves by a
+    shift.  shifts is the identity alone for the empty diagram, whose one
     labeling is its own orbit.  Plans over LEAF_LIMIT leaves are refused.
     The search keeps the values left to try at each stage it entered."""
-    cut = _cut_open(diagram, period)
-    comps, crossings, cuts = cut
+    comps, crossings, cuts = _cut_open(diagram, period)
     view = indexed(rack)
     tables, n = view.tables, len(view.elements)
     plan = _compile(n, period, crossings, cuts, len(comps))[1]
@@ -100,7 +93,7 @@ def labeling_orbits(diagram, rack, period):
                     found.append((tuple(labels), tuple(ks)))
         else:
             entered.pop()
-    return cut, found, view.shifts if plan else view.shifts[:1]
+    return found, view.shifts if plan else view.shifts[:1]
 
 
 def _cut_open(diagram, period):

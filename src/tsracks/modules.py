@@ -124,10 +124,8 @@ class TSRack:
 
     def rack_rank(self):
         """Order of the (t+s)-action, the period of framing dependence:
-        the lcm of its cycle lengths, kept on the rack."""
-        if not hasattr(self, "_rack_rank"):
-            self._rack_rank = lcm(*cycle_lengths(self.ts_map).values())
-        return self._rack_rank
+        the lcm of its cycle lengths."""
+        return lcm(*cycle_lengths(self.ts_map).values())
 
     def is_alexander(self):
         """True when s = Id - t, i.e. the rack is an Alexander quandle."""

@@ -25,14 +25,6 @@ class InvariantPolynomial:
                 data[key] = data.get(key, 0) + int(coeff)
         self._terms = {k: v for k, v in data.items() if v}
 
-    @classmethod
-    def u_term(cls, exponent, coeff=1):
-        return cls({(exponent, ()): coeff})
-
-    @classmethod
-    def q_term(cls, q_exps, coeff=1):
-        return cls({(0, tuple(q_exps)): coeff})
-
     def terms(self):
         """(u_exp, q_exps, coeff) triples in canonical order."""
         return [(u, q, self._terms[(u, q)]) for u, q in sorted(self._terms)]

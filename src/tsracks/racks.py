@@ -141,10 +141,6 @@ def rack_rank(rack):
     return lcm(*per), per
 
 
-def is_quandle(rack):
-    return all(rack.op(x, x) == x for x in rack.elements)
-
-
 def constant_action_rack(sigma):
     """Rack with x > y = sigma(x); sigma given as a 1-indexed image list."""
     sigma = tuple(int(v) for v in sigma)

@@ -289,7 +289,8 @@ def test_criterion_7_property_suites():
             assert s_poly.coeff_exponent_sum() == count
             rebuilt = InvariantPolynomial()
             for factors in add_ms.entries():
-                rebuilt = rebuilt + InvariantPolynomial.u_term(prod(factors))
+                rebuilt = rebuilt + InvariantPolynomial(
+                    {(prod(factors), ()): 1})
             assert rebuilt == add_poly
             assert sum(s_ms.entries()) == count
 

@@ -21,8 +21,8 @@ from tsracks.errors import ValidationError
 from tsracks.invariants import (_image, _span_weight, additive_enhanced,
                                 counting_invariant, enumerate_homs,
                                 image_subrack, s_enhanced, writhe_enhanced)
-from tsracks.labelings import (LEAF_LIMIT, _compile, _cut_open,
-                               framed_labelings, indexed)
+from tsracks.labelings import (LEAF_LIMIT, _compile, _cut_open, indexed,
+                               labeling_orbits)
 from tsracks.modules import (TSRack, enumerate_linear, make_linear,
                              make_module, make_quotient, s_submodule)
 from tsracks.racks import conjugation_rack, constant_action_rack, rack_rank
@@ -363,9 +363,11 @@ def framing_mismatches():
     for rack_name, rack in racks.items():
         period, elements = rack_rank(rack)[0], rack.elements
         for name, diagram in diagrams.items():
-            (_, _, cuts), found = framed_labelings(diagram, rack, period)
+            cuts = _cut_open(diagram, period)[2]
+            found, shifts = labeling_orbits(diagram, rack, period)
             got = {}
-            for labels, ks in found:
+            for labels, ks in [([shift[i] for i in labels], ks)
+                               for shift in shifts for labels, ks in found]:
                 for k in product(*ks):
                     values = {elements[i] for i in labels}
                     for i, into, _ in cuts:

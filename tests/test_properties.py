@@ -1,7 +1,7 @@
 """Invariants of the link, not of the diagram: property tests over random
 braid words.
 
-Each example draws a braid word on 2 or 3 strands and checks that an
+Each example draws a braid word on 2 to 4 strands and checks that an
 invariant, polynomial and multiset, is the same on three other diagrams
 of its closure: the diagram re-read from its PD code (pd_code, then
 parse_link, which hands it to parse_pd), the word conjugated by a
@@ -32,7 +32,7 @@ S_RACKS = {"R4": make_linear(4, 3, 2), "Q16": Q16}
 @st.composite
 def moves(draw):
     """(strands, word, conjugating letter, stabilising sign)."""
-    strands = draw(st.integers(2, 3))
+    strands = draw(st.integers(2, 4))
     letter = st.integers(1, strands - 1).flatmap(
         lambda i: st.sampled_from((i, -i)))
     return (strands, draw(st.lists(letter, max_size=6)), draw(letter),
