@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .groups import AbelianGroup, QuotientRing, invariant_factors, subgroup_closure
+from .groups import AbelianGroup, invariant_factors, subgroup_closure
 from .racks import (
     FiniteRack,
     constant_action_rack,

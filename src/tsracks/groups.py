@@ -158,79 +158,3 @@ def _prime_factors(n):
         out.append(n)
     return out
 
-
-class QuotientRing:
-    """Z_n[t] / (p(t)) for a monic polynomial p, coefficients ascending.
-
-    Elements are coefficient tuples of length deg(p) over Z_n, so the ring
-    has n^deg(p) elements.  The class of t is a unit exactly when the
-    constant coefficient p(0) is a unit mod n (the multiplication-by-t
-    matrix has determinant +-p(0)); ``t_is_unit`` records that, and
-    constructions needing t^{-1} must refuse rings where it is False.
-    """
-
-    def __init__(self, n, coeffs):
-        from .errors import InvalidPolynomialError
-
-        n = int(n)
-        if n < 2:
-            raise InvalidPolynomialError("modulus n must be >= 2")
-        coeffs = [int(c) % n for c in coeffs]
-        if coeffs and coeffs[-1] == 0:
-            # a monic polynomial cannot end in zero coefficients
-            raise InvalidPolynomialError("polynomial is not monic mod %d" % n)
-        if len(coeffs) < 2:
-            raise InvalidPolynomialError("polynomial must have degree >= 1")
-        if coeffs[-1] != 1:
-            raise InvalidPolynomialError(
-                "polynomial must be monic (leading coefficient 1 mod n)"
-            )
-        self.n = n
-        self.coeffs = tuple(coeffs)
-        self.degree = len(coeffs) - 1
-        self.size = n**self.degree
-        self.zero = (0,) * self.degree
-        self.one = (1,) + (0,) * (self.degree - 1)
-        # class of t; for degree 1, p = t + c0 forces t = -c0
-        if self.degree == 1:
-            self.t = ((-coeffs[0]) % n,)
-        else:
-            self.t = (0, 1) + (0,) * (self.degree - 2)
-        self.t_is_unit = gcd(coeffs[0], n) == 1
-
-    def __repr__(self):
-        return "QuotientRing(n=%d, p=%s)" % (self.n, list(self.coeffs))
-
-    def elements(self):
-        return [tuple(v) for v in product(*(range(self.n),) * self.degree)]
-
-    def add(self, a, b):
-        return tuple((x + y) % self.n for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.n for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        # schoolbook product, then reduce by p using monicity
-        prod_coeffs = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                prod_coeffs[i + j] += x * y
-        for k in range(len(prod_coeffs) - 1, self.degree - 1, -1):
-            c = prod_coeffs[k] % self.n
-            if c:
-                # t^k = -(p_0 t^{k-d} + ... + p_{d-1} t^{k-1})
-                for j in range(self.degree):
-                    prod_coeffs[k - self.degree + j] -= c * self.coeffs[j]
-            prod_coeffs[k] = 0
-        return tuple(c % self.n for c in prod_coeffs[: self.degree])
-
-    def t_times(self, a):
-        return self.mul(self.t, a)
-
-    def inverse(self, a):
-        """Multiplicative inverse by exhaustive search, or None."""
-        for b in self.elements():
-            if self.mul(a, b) == self.one:
-                return b
-        return None

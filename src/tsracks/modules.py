@@ -28,12 +28,13 @@ from math import gcd, lcm
 
 from .errors import (
     ConsistencyError,
+    InvalidPolynomialError,
     NotInvertibleError,
     RelationViolationError,
     ValidationError,
     WrongStructureError,
 )
-from .groups import AbelianGroup, QuotientRing
+from .groups import AbelianGroup
 from .racks import FiniteRack, cycle_lengths, inverse_matrix
 
 
@@ -212,27 +213,39 @@ def make_linear(n, t, s):
 
 
 def make_quotient(n, coeffs):
-    """(t,s)-rack on R + R where R = Z_n[t]/(p(t)), elements (a, b)
-    standing for a + b s; t acts coordinatewise, s(a, b) = (0, a + (1-t)b).
+    """(t,s)-rack on R + R where R = Z_n[t]/(p(t)) for a monic p with
+    ascending coefficients, elements (a, b) standing for a + b s; t acts
+    coordinatewise, s(a, b) = (0, a + (1-t)b).  In the basis 1, t, ...,
+    t^(d-1) of R, t acts by the companion matrix C of p, so on R + R
+    t = [[C, 0], [0, C]] and s = [[0, 0], [1, 1 - C]], mod n.
 
-    Requires the class of t to be a unit in R.
+    Requires the class of t to be a unit in R, that is p(0) a unit mod n.
     """
-    ring = QuotientRing(n, coeffs)
-    if not ring.t_is_unit:
+    n = int(n)
+    if n < 2:
+        raise InvalidPolynomialError("modulus n must be >= 2")
+    p = [int(a) % n for a in coeffs]
+    if p and p[-1] == 0:
+        # a monic polynomial cannot end in zero coefficients
+        raise InvalidPolynomialError("polynomial is not monic mod %d" % n)
+    if len(p) < 2:
+        raise InvalidPolynomialError("polynomial must have degree >= 1")
+    if p[-1] != 1:
+        raise InvalidPolynomialError(
+            "polynomial must be monic (leading coefficient 1 mod n)")
+    if gcd(p[0], n) != 1:
         raise NotInvertibleError(
-            "t is not a unit in %r (constant coefficient %d is not a unit "
-            "mod %d)" % (ring, ring.coeffs[0], n))
-    d = ring.degree
-    one_minus_t = ring.sub(ring.one, ring.t)
-    basis = [tuple(int(i == j) for i in range(d)) for j in range(d)]
-    # column j is the image of (e_j, 0), column d + j that of (0, e_j)
-    t_cols = ([ring.t_times(e) + ring.zero for e in basis]
-              + [ring.zero + ring.t_times(e) for e in basis])
-    s_cols = ([ring.zero + e for e in basis]
-              + [ring.zero + ring.mul(one_minus_t, e) for e in basis])
-    spec = {"type": "quotient", "n": n, "p": [c % n for c in coeffs]}
-    return make_module((n,) * (2 * d), list(zip(*t_cols)),
-                       list(zip(*s_cols)), spec=spec)
+            "t is not a unit in Z_%d[t]/(p) for p = %s (constant coefficient"
+            " %d is not a unit mod %d)" % (n, p, p[0], n))
+    d = len(p) - 1
+    # C e_j = e_(j+1), and C e_(d-1) = t^d = -(p_0 + ... + p_(d-1) t^(d-1))
+    c = [[int(i == j + 1) for j in range(d - 1)] + [-p[i]] for i in range(d)]
+    zero, one = [0] * d, [[int(i == j) for j in range(d)] for i in range(d)]
+    t = [row + zero for row in c] + [zero + row for row in c]
+    s = [zero + zero] * d + [e + [a - b for a, b in zip(e, row)]
+                             for e, row in zip(one, c)]
+    return make_module((n,) * (2 * d), t, s,
+                       spec={"type": "quotient", "n": n, "p": p})
 
 
 def enumerate_linear(n):

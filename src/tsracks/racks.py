@@ -303,23 +303,32 @@ def find_isomorphism(x_rack, y_rack):
                           (xop[i][a - 1], yop[j][b - 1])]
         return True
 
-    def extend(idx):
-        while idx < n and order[idx] in f:
-            idx += 1
-        if idx == n:
-            return dict(f)
+    def choices(idx):
+        """Map order[idx] to each of its candidates that forces no clash
+        in turn, and yield the index of the next unmapped element."""
         x = order[idx]
         for y in candidates[x]:
             trail = []
             if assign(x, y, trail):
-                result = extend(idx + 1)
-                if result is not None:
-                    return result
+                nxt = idx + 1
+                while nxt < n and order[nxt] in f:
+                    nxt += 1
+                yield nxt
             for a in trail:
                 used.discard(f.pop(a))
-        return None
 
-    witness = extend(0)
+    # depth first, without recursion: a rack whose choices force nothing
+    # needs one choice per element
+    witness, stack = None, [choices(0)]
+    while stack:
+        idx = next(stack[-1], None)
+        if idx is None:
+            stack.pop()
+        elif idx == n:
+            witness = dict(f)
+            break
+        else:
+            stack.append(choices(idx))
     if witness is not None and (len(set(witness.values())) != n or not
                                 is_homomorphism(witness, x_rack, y_rack)):
         raise ConsistencyError("isomorphism search returned a non-isomorphism")

@@ -20,6 +20,8 @@ the rack's op, op_inv and moduli, and no group arithmetic of tsracks.
 greedy_plan builds a labeling plan by scoring every unlabelled slot and
 every loose cut at every stage, for checking that the frontier search of
 tsracks.labelings._compile picks the same branches in the same order.
+ring_mul multiplies in R = Z_n[t]/(p(t)) by the polynomial product reduced
+by p, for checking the t- and s-actions of tsracks.modules.make_quotient.
 
 Ring elements of Z_2[t]/(t^2+1) are bit pairs (c0, c1) = c0 + c1 t.  Rack
 elements are pairs (a, b) of ring elements standing for a + b s, with
@@ -355,3 +357,20 @@ def _divisor_chains(n, least):
             for rest in _divisor_chains(n // d, d):
                 if not rest or rest[0] % d == 0:
                     yield [d] + rest
+
+
+def ring_mul(n, p, a, b):
+    """a b in Z_n[t]/(p(t)), p monic: the polynomial product with its
+    terms of degree d = deg p and above cancelled, top first, by
+    subtracting multiples of t^k p.  Polynomials are coefficient tuples,
+    ascending; the result has d coefficients in range(n)."""
+    d = len(p) - 1
+    c = [0] * max(len(a) + len(b) - 1, d)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    for k in reversed(range(d, len(c))):
+        top = c[k]
+        for i, pi in enumerate(p):
+            c[k - d + i] -= top * pi
+    return tuple(x % n for x in c[:d])

@@ -22,8 +22,6 @@ with tsracks.  It is fixed by that oracle, not by the program's output.
 import time
 from math import lcm, prod
 
-import pytest
-
 from oracles import additive_oracle, format_u
 from tsracks.atlas import load_corpus, load_corpus_specs
 from tsracks.diagrams import add_kink, framed_family, parse_braid, unknot_diagram
@@ -40,7 +38,6 @@ from tsracks.modules import (
     make_linear,
     make_module,
     make_quotient,
-    s_submodule,
     tsrack_iso_check,
 )
 from tsracks.polynomials import (

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,7 @@ from tsracks.modules import enumerate_linear, make_linear, make_quotient
 CONSTANT_123 = [[2, 2, 2], [3, 3, 3], [1, 1, 1]]
 LINEAR_Z4 = [[3, 1, 3, 1], [4, 2, 4, 2], [1, 3, 1, 3], [2, 4, 2, 4]]
 PAPER_ORDER_Z4 = [(1,), (2,), (3,), (0,)]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def trivial_quandle(n):
@@ -274,6 +279,21 @@ class TestFindIsomorphism:
         assert sizes == [{2}, {1}]
         a, b = (pair[i] for i in order)
         assert find_isomorphism(a, b) is None
+
+    def test_no_recursion_per_choice(self):
+        # on the trivial rack no choice forces another, so the search
+        # makes one choice per element, 300 deep
+        code = ("import sys\n"
+                "from tsracks.modules import make_linear\n"
+                "from tsracks.racks import find_isomorphism\n"
+                "r = make_linear(300, 1, 0).to_finite_rack()\n"
+                "sys.setrecursionlimit(200)\n"
+                "f = find_isomorphism(r, r)\n"
+                "print(sorted(f) == sorted(f.values()) == list(r.elements))\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert (out.returncode, out.stdout) == (0, "True\n"), out.stderr
 
 
 class TestTextFormat:

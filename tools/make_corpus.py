@@ -27,7 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tsracks.diagrams import EdgeCrossing, LinkDiagram, _UnionFind, parse_link, pd_code
+from tsracks.diagrams import EdgeCrossing, LinkDiagram, _UnionFind, pd_code
 from tsracks.invariants import enumerate_homs
 from tsracks.modules import make_linear
 

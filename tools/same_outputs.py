@@ -35,6 +35,10 @@ text (its size, then one row per line), or a file holding either.  A
 matrix rack has no module structure, so its additive and s-enhanced
 entries record the WrongStructureError they raise.  Only the named
 checkout's src/ is imported.
+
+tests/test_same_outputs.py runs dump() in process for eight racks and
+compares digests of its records with tests/same_outputs.json, so a
+change to what dump() records is a change to that pin.
 """
 
 import argparse
